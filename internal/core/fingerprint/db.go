@@ -1,7 +1,9 @@
 package fingerprint
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -35,6 +37,9 @@ type DB struct {
 	index   map[cellular.CellID][]transit.StopID //lint:guardedby mu
 	scoring Scoring
 	gamma   float64
+	// minHits is the index-hit floor below which no stop can clear γ;
+	// see index.go.
+	minHits int
 }
 
 // NewDB returns an empty database with the given scoring and γ
@@ -51,6 +56,7 @@ func NewDB(scoring Scoring, gamma float64) (*DB, error) {
 		index:   make(map[cellular.CellID][]transit.StopID),
 		scoring: scoring,
 		gamma:   gamma,
+		minHits: minHits(scoring, gamma),
 	}, nil
 }
 
@@ -152,49 +158,56 @@ func (db *DB) PutFromSamples(stop transit.StopID, samples []cellular.Fingerprint
 // MatchAll scores a sample against the stored stops and returns the
 // candidates at or above γ, best first. Ordering is by score, then by
 // common-ID count, then ascending stop ID for determinism. With γ > 0
-// the inverted index restricts alignment to stops sharing a tower with
-// the sample (zero-overlap pairs score exactly 0 and cannot qualify);
-// γ = 0 falls back to the exhaustive scan so every stop can be returned.
+// the inverted index restricts alignment to stops whose index hits can
+// still reach γ (see index.go; the pruned stops provably score below
+// it); γ = 0 falls back to the exhaustive scan so every stop can be
+// returned.
 func (db *DB) MatchAll(sample cellular.Fingerprint) []Match {
 	if len(sample) == 0 {
 		return nil
 	}
 	db.mu.RLock()
 	defer db.mu.RUnlock()
+	out := db.matchLocked(nil, sample)
+	sortMatches(out)
+	return out
+}
+
+// matchLocked appends the sample's γ survivors to dst, unordered: the
+// indexed path when γ > 0, the exhaustive scan otherwise. Caller holds
+// a read lock.
+func (db *DB) matchLocked(dst []Match, sample cellular.Fingerprint) []Match {
 	if db.gamma > 0 {
-		return db.matchIndexedLocked(sample)
+		return db.matchIndexedLocked(dst, sample)
 	}
-	return db.matchScanLocked(sample)
+	return db.matchScanLocked(dst, sample)
 }
 
 // matchIndexedLocked aligns the sample against the index candidates
-// only. Caller holds a read lock and guarantees γ > 0, so skipping
-// zero-overlap stops (which score exactly 0) cannot change the result.
-func (db *DB) matchIndexedLocked(sample cellular.Fingerprint) []Match {
-	var out []Match
-	for _, stop := range db.candidateStopsLocked(sample) {
-		fp := db.entries[stop]
+// that survive the hit bound only. Caller holds a read lock and
+// guarantees γ > 0, so the pruned stops cannot change the result.
+func (db *DB) matchIndexedLocked(dst []Match, sample cellular.Fingerprint) []Match {
+	var buf [64]candidate
+	for _, cd := range db.candidateStopsLocked(buf[:0], sample, db.minHits) {
+		fp := db.entries[cd.stop]
 		score := Similarity(sample, fp, db.scoring)
 		if score >= db.gamma {
-			out = append(out, Match{Stop: stop, Score: score, Common: CommonIDs(sample, fp)})
+			dst = append(dst, Match{Stop: cd.stop, Score: score, Common: CommonIDs(sample, fp)})
 		}
 	}
-	sortMatches(out)
-	return out
+	return dst
 }
 
 // matchScanLocked aligns the sample against every stored stop. Caller
 // holds a read lock.
-func (db *DB) matchScanLocked(sample cellular.Fingerprint) []Match {
-	var out []Match
+func (db *DB) matchScanLocked(dst []Match, sample cellular.Fingerprint) []Match {
 	for stop, fp := range db.entries {
 		score := Similarity(sample, fp, db.scoring)
 		if score >= db.gamma {
-			out = append(out, Match{Stop: stop, Score: score, Common: CommonIDs(sample, fp)})
+			dst = append(dst, Match{Stop: stop, Score: score, Common: CommonIDs(sample, fp)}) //lint:allow maporder survivors are unordered by contract; every reader sorts or takes the total-order minimum
 		}
 	}
-	sortMatches(out)
-	return out
+	return dst
 }
 
 // matchAllScan is the exhaustive-scan reference implementation of
@@ -206,29 +219,44 @@ func (db *DB) matchAllScan(sample cellular.Fingerprint) []Match {
 	}
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	return db.matchScanLocked(sample)
+	out := db.matchScanLocked(nil, sample)
+	sortMatches(out)
+	return out
+}
+
+// compareMatches orders candidates best-first: higher score, then more
+// common IDs, then ascending stop ID. Stops are unique, so the order is
+// total and the result deterministic.
+func compareMatches(a, b Match) int {
+	switch {
+	case a.Score != b.Score:
+		return cmp.Compare(b.Score, a.Score)
+	case a.Common != b.Common:
+		return cmp.Compare(b.Common, a.Common)
+	default:
+		return cmp.Compare(a.Stop, b.Stop)
+	}
 }
 
 // sortMatches orders candidates best-first with deterministic ties.
 func sortMatches(out []Match) {
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Score != out[j].Score {
-			return out[i].Score > out[j].Score
-		}
-		if out[i].Common != out[j].Common {
-			return out[i].Common > out[j].Common
-		}
-		return out[i].Stop < out[j].Stop
-	})
+	slices.SortFunc(out, compareMatches)
 }
 
 // Match returns the best candidate for a sample, applying the γ filter
-// and the common-ID tie-break. ok is false when no stop clears γ — the
-// paper discards such samples "without further processing".
+// and the common-ID tie-break — MatchAll's first element, found without
+// sorting or allocating. ok is false when no stop clears γ — the paper
+// discards such samples "without further processing".
 func (db *DB) Match(sample cellular.Fingerprint) (Match, bool) {
-	all := db.MatchAll(sample)
+	if len(sample) == 0 {
+		return Match{}, false
+	}
+	var buf [16]Match
+	db.mu.RLock()
+	all := db.matchLocked(buf[:0], sample)
+	db.mu.RUnlock()
 	if len(all) == 0 {
 		return Match{}, false
 	}
-	return all[0], true
+	return slices.MinFunc(all, compareMatches), true
 }

@@ -2,6 +2,7 @@ package fingerprint
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 
 	"busprobe/internal/cellular"
@@ -9,11 +10,17 @@ import (
 	"busprobe/internal/transit"
 )
 
-// candidates reads the inverted index the way MatchAll does.
+// candidates reads the inverted index membership for a sample: every
+// stop with at least one hit, ascending.
 func candidates(db *DB, sample cellular.Fingerprint) []transit.StopID {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	return db.candidateStopsLocked(sample)
+	var out []transit.StopID
+	for _, cd := range db.candidateStopsLocked(nil, sample, 1) {
+		out = append(out, cd.stop)
+	}
+	slices.Sort(out)
+	return out
 }
 
 func TestCandidateStopsAfterReplace(t *testing.T) {
@@ -90,19 +97,46 @@ func TestCandidateStopsAfterRemoveCycles(t *testing.T) {
 }
 
 func TestMatchAllIndexedEqualsScanProperty(t *testing.T) {
-	// Property: on the SAME database (same γ), the indexed path and the
-	// exhaustive scan return identical matches for random samples —
-	// including after replace and delete churn.
+	// Property: on the SAME database (same γ), the indexed path — with
+	// its Match × hits pruning — and the exhaustive scan return
+	// identical matches for random samples, including after replace and
+	// delete churn. The sweep covers Match rewards other than 1, γ
+	// values between and beyond whole hit counts, duplicate cell IDs
+	// on both sides (drawn from a narrow cell range), and fingerprints
+	// longer than Similarity's stack bound.
 	rng := stats.NewRNG(4242)
-	for trial := 0; trial < 40; trial++ {
-		db := newTestDB(t)
+	scorings := []Scoring{
+		DefaultScoring(),
+		{Match: 0.5, Mismatch: 0.3, Gap: 0.3},
+		{Match: 1.5, Mismatch: 0.3, Gap: 0.3},
+		{Match: 1.5, Mismatch: 0, Gap: 0},
+	}
+	gammas := []float64{DefaultGamma, 0.7, 1, 2.5, 3.2}
+	randFP := func(cells int) cellular.Fingerprint {
+		n := 3 + rng.Intn(6)
+		if rng.Bool(0.1) {
+			n = stackFPLen + 1 + rng.Intn(8)
+		}
+		out := make(cellular.Fingerprint, n)
+		for i := range out {
+			out[i] = cellular.CellID(rng.Intn(cells))
+		}
+		return out
+	}
+	for trial := 0; trial < 200; trial++ {
+		sc := scorings[trial%len(scorings)]
+		gamma := gammas[(trial/len(scorings))%len(gammas)]
+		cells := 80
+		if trial%3 == 0 {
+			cells = 8 // dense duplicates within and across fingerprints
+		}
+		db, err := NewDB(sc, gamma)
+		if err != nil {
+			t.Fatal(err)
+		}
 		nStops := 5 + rng.Intn(40)
 		for s := 0; s < nStops; s++ {
-			entry := make(cellular.Fingerprint, 3+rng.Intn(6))
-			for i := range entry {
-				entry[i] = cellular.CellID(rng.Intn(80))
-			}
-			if err := db.Put(transit.StopID(s), entry); err != nil {
+			if err := db.Put(transit.StopID(s), randFP(cells)); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -110,11 +144,7 @@ func TestMatchAllIndexedEqualsScanProperty(t *testing.T) {
 		for k := 0; k < nStops/4; k++ {
 			s := transit.StopID(rng.Intn(nStops))
 			if rng.Bool(0.5) {
-				entry := make(cellular.Fingerprint, 3+rng.Intn(6))
-				for i := range entry {
-					entry[i] = cellular.CellID(rng.Intn(80))
-				}
-				if err := db.Put(s, entry); err != nil {
+				if err := db.Put(s, randFP(cells)); err != nil {
 					t.Fatal(err)
 				}
 			} else {
@@ -122,14 +152,15 @@ func TestMatchAllIndexedEqualsScanProperty(t *testing.T) {
 			}
 		}
 		for q := 0; q < 25; q++ {
-			sample := make(cellular.Fingerprint, 3+rng.Intn(6))
-			for i := range sample {
-				sample[i] = cellular.CellID(rng.Intn(80))
-			}
+			sample := randFP(cells)
 			got := db.MatchAll(sample)
 			want := db.matchAllScan(sample)
 			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("trial %d query %d: indexed %+v != scan %+v", trial, q, got, want)
+				t.Fatalf("trial %d (%+v, γ=%v) query %d: indexed %+v != scan %+v", trial, sc, gamma, q, got, want)
+			}
+			best, ok := db.Match(sample)
+			if ok != (len(want) > 0) || (ok && best != want[0]) {
+				t.Fatalf("trial %d query %d: Match = %+v/%v, want first of %+v", trial, q, best, ok, want)
 			}
 		}
 	}

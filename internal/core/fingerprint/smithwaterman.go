@@ -13,6 +13,7 @@ package fingerprint
 
 import (
 	"fmt"
+	"slices"
 
 	"busprobe/internal/cellular"
 )
@@ -54,16 +55,27 @@ type Alignment struct {
 	Gaps       int
 }
 
+// stackFPLen bounds the fingerprint length whose DP rows Similarity
+// keeps on the stack. A scan sees 4–7 towers and a stored fingerprint
+// is one scan, so only longer outside input takes the heap path.
+const stackFPLen = 32
+
 // Similarity returns the Smith–Waterman similarity score of two
 // fingerprints. It is Align without the traceback, saving the pointer
-// matrix on the hot path.
+// matrix on the hot path, and it allocates nothing when b has at most
+// stackFPLen cells.
 func Similarity(a, b cellular.Fingerprint, sc Scoring) float64 {
 	n, m := len(a), len(b)
 	if n == 0 || m == 0 {
 		return 0
 	}
-	prev := make([]float64, m+1)
-	cur := make([]float64, m+1)
+	var rows [2 * (stackFPLen + 1)]float64
+	var prev, cur []float64
+	if m <= stackFPLen {
+		prev, cur = rows[:m+1], rows[m+1:2*(m+1)]
+	} else {
+		prev, cur = make([]float64, m+1), make([]float64, m+1)
+	}
 	var best float64
 	for i := 1; i <= n; i++ {
 		for j := 1; j <= m; j++ {
@@ -157,18 +169,15 @@ func Align(a, b cellular.Fingerprint, sc Scoring) Alignment {
 	return al
 }
 
-// CommonIDs returns the number of cell IDs present in both fingerprints,
-// the paper's tie-breaker when two stops score equally.
+// CommonIDs returns the number of distinct cell IDs present in both
+// fingerprints, the paper's tie-breaker when two stops score equally.
+// Fingerprints hold a handful of cells, so a quadratic scan needs no
+// set and allocates nothing.
 func CommonIDs(a, b cellular.Fingerprint) int {
-	set := make(map[cellular.CellID]bool, len(a))
-	for _, c := range a {
-		set[c] = true
-	}
 	n := 0
-	for _, c := range b {
-		if set[c] {
+	for i, c := range a {
+		if !slices.Contains(a[:i], c) && slices.Contains(b, c) {
 			n++
-			set[c] = false // count each ID once
 		}
 	}
 	return n

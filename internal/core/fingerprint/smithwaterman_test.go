@@ -7,6 +7,7 @@ import (
 
 	"busprobe/internal/cellular"
 	"busprobe/internal/stats"
+	"busprobe/internal/transit"
 )
 
 // fp builds a fingerprint from ints.
@@ -186,6 +187,9 @@ func TestCommonIDs(t *testing.T) {
 	if n := CommonIDs(fp(1, 1, 2), fp(1, 5)); n != 1 {
 		t.Errorf("duplicate handling: common = %d, want 1", n)
 	}
+	if n := CommonIDs(fp(4, 2, 4, 2, 7), fp(2, 2, 4, 9, 4)); n != 2 {
+		t.Errorf("duplicates on both sides: common = %d, want 2", n)
+	}
 	if n := CommonIDs(nil, fp(1)); n != 0 {
 		t.Errorf("empty common = %d", n)
 	}
@@ -208,5 +212,30 @@ func BenchmarkAlign7x7(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		Align(x, y, sc)
+	}
+}
+
+func TestHotPathDoesNotAllocate(t *testing.T) {
+	// Per-sample matching runs for every uploaded scan: alignment, the
+	// tie-break count and the best-match selection must stay off the
+	// heap for scan-sized fingerprints.
+	db := newTestDB(t)
+	for s := 0; s < 50; s++ {
+		if err := db.Put(transit.StopID(s), fp(s, s+1, s+2, s+3, s+4, s+5)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	x := fp(1, 2, 3, 4, 5, 6, 7)
+	y := fp(2, 1, 3, 9, 5, 6, 8)
+	sample := fp(10, 11, 12, 14, 30)
+	sc := DefaultScoring()
+	for name, f := range map[string]func(){
+		"Similarity": func() { Similarity(x, y, sc) },
+		"CommonIDs":  func() { CommonIDs(x, y) },
+		"Match":      func() { db.Match(sample) },
+	} {
+		if n := testing.AllocsPerRun(100, f); n != 0 {
+			t.Errorf("%s allocates %v times per call", name, n)
+		}
 	}
 }

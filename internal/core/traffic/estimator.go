@@ -1,8 +1,12 @@
 package traffic
 
 import (
+	"cmp"
+	"errors"
 	"fmt"
+	"maps"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -48,6 +52,7 @@ type Observation struct {
 // segState is the per-segment estimator state: the fused historic belief
 // plus the retained per-window report sets it was folded from.
 type segState struct {
+	sid  road.SegmentID
 	hist Estimate
 	// base / baseIdx checkpoint the belief at the last Compact: windows
 	// below baseIdx have been discarded, so the fold chain replays from
@@ -61,10 +66,37 @@ type segState struct {
 	// out-of-order delivery); the fold chain is replayed from base on
 	// the next settle.
 	dirty bool
-	// windows holds each update window's speed reports, kept sorted so
-	// the fold is a pure function of the report multiset — delivery
-	// order never changes an estimate.
-	windows map[int64][]float64
+	// windows holds each update window's speed reports, ascending by
+	// window index, so settling walks the due windows in order without
+	// sorting.
+	windows []window
+}
+
+// window is one update window's speed reports, kept sorted so the fold
+// is a pure function of the report multiset — delivery order never
+// changes an estimate.
+type window struct {
+	idx    int64
+	speeds []float64
+}
+
+// search returns the position of window idx in st.windows and whether
+// it is present; absent, the position is where it would be inserted.
+func (st *segState) search(idx int64) (int, bool) {
+	return slices.BinarySearchFunc(st.windows, idx, func(w window, idx int64) int {
+		return cmp.Compare(w.idx, idx)
+	})
+}
+
+// addReport inserts one speed report into window idx, keeping both the
+// windows and the window's reports sorted.
+func (st *segState) addReport(idx int64, speed float64) {
+	i, ok := st.search(idx)
+	if !ok {
+		st.windows = slices.Insert(st.windows, i, window{idx: idx})
+	}
+	w := &st.windows[i]
+	w.speeds = slices.Insert(w.speeds, sort.SearchFloat64s(w.speeds, speed), speed)
 }
 
 // Estimator maintains the per-segment traffic estimates: observations
@@ -134,65 +166,78 @@ func (e *Estimator) windowOf(tS float64) int64 {
 	return int64(math.Floor(tS / e.periodS))
 }
 
-// AddObservation converts a bus observation to an automobile speed via
-// Eq. 3 and buckets it into the update window of its own timestamp on
-// every covered segment (the uniform-speed-along-leg assumption). The
-// observation time also advances the fold watermark, so a fresher
+// AddObservations converts each bus observation to an automobile speed
+// via Eq. 3 and buckets it into the update window of its own timestamp
+// on every covered segment (the uniform-speed-along-leg assumption).
+// Observation times also advance the fold watermark, so a fresher
 // report implicitly completes older windows.
-func (e *Estimator) AddObservation(obs Observation) error {
-	if len(obs.Segments) == 0 {
-		return fmt.Errorf("traffic: observation covers no segments")
-	}
-	speed, err := e.model.SpeedKmh(obs.LengthM, obs.FreeKmh, obs.BTTSeconds)
-	if err != nil {
-		return err
-	}
+//
+// The whole batch lands under one lock hold: every report is bucketed
+// first, then the touched segments (every segment, if the watermark
+// moved) settle once and the snapshot publishes at most once. Since the
+// fold is a pure function of the report multiset and the watermark, a
+// batch settles to exactly the estimates the same observations fed one
+// call at a time would; a late report just replays its segment's fold
+// chain once per batch instead of once per observation, and a reader
+// never sees half a batch. Invalid observations (no segments, bad
+// geometry, non-positive BTT) are skipped without failing the rest:
+// accepted counts the valid ones and err joins the rejections.
+func (e *Estimator) AddObservations(obs []Observation) (accepted int, err error) {
+	var errs []error
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	idx := e.windowOf(obs.TimeS)
 	advanced := false
-	if idx > e.watermarkIdx {
-		e.watermarkIdx = idx
-		advanced = true
-	}
-	touched := make([]*segState, 0, len(obs.Segments))
-	for _, sid := range obs.Segments {
-		st := e.segs[sid]
-		if st == nil {
-			st = &segState{windows: make(map[int64][]float64)}
-			e.segs[sid] = st
-		}
-		if idx < st.baseIdx {
-			// The window was compacted away; the report arrived too
-			// late to be honored.
-			e.lateDropped++
+	var touched []*segState
+	for _, o := range obs {
+		if len(o.Segments) == 0 {
+			errs = append(errs, fmt.Errorf("traffic: observation covers no segments"))
 			continue
 		}
-		lst := st.windows[idx]
-		at := sort.SearchFloat64s(lst, speed)
-		lst = append(lst, 0)
-		copy(lst[at+1:], lst[at:])
-		lst[at] = speed
-		st.windows[idx] = lst
-		if idx < st.foldedIdx {
-			st.dirty = true
+		speed, convErr := e.model.SpeedKmh(o.LengthM, o.FreeKmh, o.BTTSeconds)
+		if convErr != nil {
+			errs = append(errs, convErr)
+			continue
 		}
-		touched = append(touched, st)
+		accepted++
+		idx := e.windowOf(o.TimeS)
+		if idx > e.watermarkIdx {
+			e.watermarkIdx = idx
+			advanced = true
+		}
+		for _, sid := range o.Segments {
+			st := e.segs[sid]
+			if st == nil {
+				st = &segState{sid: sid}
+				e.segs[sid] = st
+			}
+			if idx < st.baseIdx {
+				// The window was compacted away; the report arrived
+				// too late to be honored.
+				e.lateDropped++
+				continue
+			}
+			st.addReport(idx, speed)
+			if idx < st.foldedIdx {
+				st.dirty = true
+			}
+			touched = append(touched, st)
+		}
 	}
-	folded := false
 	if advanced {
-		folded = e.settleAllLocked()
+		e.settleAllAndPublishLocked()
 	} else {
+		// Filter touched in place down to the segments whose belief
+		// moved. A segment touched twice settles once: the second
+		// settle finds it folded up to the watermark and returns false.
+		changed := touched[:0]
 		for _, st := range touched {
 			if e.settleLocked(st) {
-				folded = true
+				changed = append(changed, st)
 			}
 		}
+		e.publishLocked(changed)
 	}
-	if folded {
-		e.publishLocked()
-	}
-	return nil
+	return accepted, errors.Join(errs...)
 }
 
 // Advance moves the fold watermark to the given time and folds completed
@@ -203,21 +248,19 @@ func (e *Estimator) Advance(nowS float64) {
 	if idx := e.windowOf(nowS); idx > e.watermarkIdx {
 		e.watermarkIdx = idx
 	}
-	if e.settleAllLocked() {
-		e.publishLocked()
-	}
+	e.settleAllAndPublishLocked()
 }
 
-// settleAllLocked folds every segment up to the watermark, reporting
-// whether any belief may have changed.
-func (e *Estimator) settleAllLocked() bool {
-	folded := false
+// settleAllAndPublishLocked folds every segment up to the watermark and
+// publishes the beliefs that moved.
+func (e *Estimator) settleAllAndPublishLocked() {
+	var changed []*segState
 	for _, st := range e.segs {
 		if e.settleLocked(st) {
-			folded = true
+			changed = append(changed, st) //lint:allow maporder publishLocked writes the list into maps; its order never escapes
 		}
 	}
-	return folded
+	e.publishLocked(changed)
 }
 
 // settleLocked brings one segment's belief up to the watermark: a dirty
@@ -238,16 +281,12 @@ func (e *Estimator) settleLocked(st *segState) bool {
 	if st.foldedIdx >= e.watermarkIdx {
 		return replayed
 	}
-	var due []int64
-	for idx := range st.windows {
-		if idx >= st.foldedIdx && idx < e.watermarkIdx {
-			due = append(due, idx)
-		}
-	}
-	sort.Slice(due, func(i, j int) bool { return due[i] < due[j] })
-	for _, idx := range due {
+	folded := false
+	i, _ := st.search(st.foldedIdx)
+	for ; i < len(st.windows) && st.windows[i].idx < e.watermarkIdx; i++ {
+		w := st.windows[i]
 		var acc stats.Accumulator
-		for _, v := range st.windows[idx] {
+		for _, v := range w.speeds {
 			acc.Add(v)
 		}
 		v := acc.Mean()
@@ -255,28 +294,46 @@ func (e *Estimator) settleLocked(st *segState) bool {
 		if acc.N() < 2 || varV <= 0 {
 			varV = DefaultSingleReportVar
 		}
-		endS := float64(idx+1) * e.periodS
+		endS := float64(w.idx+1) * e.periodS
 		st.hist = fuseAt(Inflate(st.hist, endS, e.driftPerS), v, varV, endS)
+		folded = true
 	}
 	st.foldedIdx = e.watermarkIdx
-	return replayed || len(due) > 0
+	return replayed || folded
 }
 
-// publishLocked swaps in a fresh immutable snapshot of every settled
-// belief. NextSnapshot diffs against the published state, so a settle
-// that refolded to identical values publishes nothing and the version
-// only moves on a value-visible change.
-func (e *Estimator) publishLocked() {
+// publishLocked swaps in a fresh immutable snapshot carrying the
+// settled beliefs of changed, the segments a settle may have moved;
+// every other segment keeps its published estimate and change mark.
+// Only value-visible changes count: when every listed belief equals its
+// published estimate nothing is published, so the version only moves
+// on a visible change. The published maps are cloned before the
+// changed entries are written, never written in place. A single
+// estimator never removes a segment — a belief's report count never
+// falls — so unlike NextSnapshot this only adds and updates, and the
+// removal marks carry over untouched.
+func (e *Estimator) publishLocked(changed []*segState) {
 	prev := e.snap.Load()
-	m := make(map[road.SegmentID]Estimate, len(e.segs))
-	for sid, st := range e.segs {
-		if st.hist.Reports > 0 {
-			m[sid] = st.hist
+	ver := prev.Version + 1
+	var estimates map[road.SegmentID]Estimate
+	var changedAt map[road.SegmentID]uint64
+	for _, st := range changed {
+		if st.hist.Reports == 0 {
+			continue
 		}
+		if old, ok := prev.Estimates[st.sid]; ok && old == st.hist {
+			continue
+		}
+		if estimates == nil {
+			estimates, changedAt = maps.Clone(prev.Estimates), maps.Clone(prev.ChangedAt)
+		}
+		estimates[st.sid] = st.hist
+		changedAt[st.sid] = ver
 	}
-	if next := NextSnapshot(prev, m); next != prev {
-		e.snap.Store(next)
+	if estimates == nil {
+		return
 	}
+	e.snap.Store(&Snapshot{Version: ver, Estimates: estimates, ChangedAt: changedAt, RemovedAt: prev.RemovedAt})
 }
 
 // Compact checkpoints every segment's belief and discards the folded
@@ -288,21 +345,12 @@ func (e *Estimator) publishLocked() {
 func (e *Estimator) Compact() {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	folded := false
+	e.settleAllAndPublishLocked()
 	for _, st := range e.segs {
-		if e.settleLocked(st) {
-			folded = true
-		}
 		st.base = st.hist
 		st.baseIdx = st.foldedIdx
-		for idx := range st.windows {
-			if idx < st.baseIdx {
-				delete(st.windows, idx)
-			}
-		}
-	}
-	if folded {
-		e.publishLocked()
+		cut, _ := st.search(st.baseIdx)
+		st.windows = slices.Delete(st.windows, 0, cut)
 	}
 }
 

@@ -120,7 +120,7 @@ func TestEstimatorPublishesVersionedSnapshots(t *testing.T) {
 	}
 
 	obs := Observation{Segments: []road.SegmentID{7}, LengthM: 500, FreeKmh: 50, BTTSeconds: 80, TimeS: 100}
-	if err := e.AddObservation(obs); err != nil {
+	if err := addOne(e, obs); err != nil {
 		t.Fatal(err)
 	}
 	// The observation sits in an open window: nothing folded, nothing
@@ -155,7 +155,7 @@ func TestEstimatorSnapshotIsDefensiveCopy(t *testing.T) {
 		t.Fatal(err)
 	}
 	obs := Observation{Segments: []road.SegmentID{7}, LengthM: 500, FreeKmh: 50, BTTSeconds: 80, TimeS: 100}
-	if err := e.AddObservation(obs); err != nil {
+	if err := addOne(e, obs); err != nil {
 		t.Fatal(err)
 	}
 	e.Advance(600)
@@ -214,7 +214,7 @@ func TestEstimatorConcurrentReadersSeeMonotoneVersions(t *testing.T) {
 			BTTSeconds: 60 + float64(i%30),
 			TimeS:      float64(i) * 40,
 		}
-		if err := e.AddObservation(obs); err != nil {
+		if err := addOne(e, obs); err != nil {
 			t.Fatal(err)
 		}
 	}

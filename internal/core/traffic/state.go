@@ -2,6 +2,7 @@ package traffic
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"busprobe/internal/road"
@@ -73,9 +74,7 @@ func (e *Estimator) ExportState() *State {
 	defer e.mu.Unlock()
 	// Settle first so the export never carries a dirty flag: the state
 	// is then a pure function of the report multiset and watermark.
-	if e.settleAllLocked() {
-		e.publishLocked()
-	}
+	e.settleAllAndPublishLocked()
 	st := &State{
 		WatermarkIdx: e.watermarkIdx,
 		LateDropped:  e.lateDropped,
@@ -88,12 +87,11 @@ func (e *Estimator) ExportState() *State {
 			Base:      seg.base,
 			BaseIdx:   seg.baseIdx,
 			FoldedIdx: seg.foldedIdx,
-			Windows:   make([]WindowState, 0, len(seg.windows)),
+			Windows:   make([]WindowState, len(seg.windows)),
 		}
-		for idx, speeds := range seg.windows {
-			ss.Windows = append(ss.Windows, WindowState{Idx: idx, Speeds: append([]float64(nil), speeds...)})
+		for i, w := range seg.windows {
+			ss.Windows[i] = WindowState{Idx: w.idx, Speeds: append([]float64(nil), w.speeds...)}
 		}
-		sort.Slice(ss.Windows, func(i, j int) bool { return ss.Windows[i].Idx < ss.Windows[j].Idx })
 		st.Segments = append(st.Segments, ss)
 	}
 	sort.Slice(st.Segments, func(i, j int) bool { return st.Segments[i].Segment < st.Segments[j].Segment })
@@ -122,20 +120,22 @@ func (e *Estimator) ImportState(st *State) error {
 			return fmt.Errorf("traffic: import: segment %d folded below its base", ss.Segment)
 		}
 		seg := &segState{
+			sid:       ss.Segment,
 			hist:      ss.Hist,
 			base:      ss.Base,
 			baseIdx:   ss.BaseIdx,
 			foldedIdx: ss.FoldedIdx,
-			windows:   make(map[int64][]float64, len(ss.Windows)),
+			windows:   make([]window, 0, len(ss.Windows)),
 		}
 		for _, w := range ss.Windows {
-			if _, dup := seg.windows[w.Idx]; dup {
+			i, dup := seg.search(w.Idx)
+			if dup {
 				return fmt.Errorf("traffic: import: segment %d window %d duplicated", ss.Segment, w.Idx)
 			}
 			if !sort.Float64sAreSorted(w.Speeds) {
 				return fmt.Errorf("traffic: import: segment %d window %d speeds unsorted", ss.Segment, w.Idx)
 			}
-			seg.windows[w.Idx] = append([]float64(nil), w.Speeds...)
+			seg.windows = slices.Insert(seg.windows, i, window{idx: w.Idx, speeds: append([]float64(nil), w.Speeds...)})
 		}
 		segs[ss.Segment] = seg
 	}

@@ -3,6 +3,7 @@ package traffic
 import (
 	"math"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -172,6 +173,12 @@ func newEstimator(t *testing.T) *Estimator {
 	return e
 }
 
+// addOne feeds a single observation as a one-element batch.
+func addOne(e *Estimator, o Observation) error {
+	_, err := e.AddObservations([]Observation{o})
+	return err
+}
+
 func obs(segs []road.SegmentID, btt, at float64) Observation {
 	return Observation{
 		Segments:   segs,
@@ -193,17 +200,17 @@ func TestEstimatorValidation(t *testing.T) {
 		t.Error("want error for negative drift")
 	}
 	e := newEstimator(t)
-	if err := e.AddObservation(Observation{}); err == nil {
+	if err := addOne(e, Observation{}); err == nil {
 		t.Error("want error for empty observation")
 	}
-	if err := e.AddObservation(obs([]road.SegmentID{1}, 0, 10)); err == nil {
+	if err := addOne(e, obs([]road.SegmentID{1}, 0, 10)); err == nil {
 		t.Error("want error for zero BTT")
 	}
 }
 
 func TestEstimatorFoldsAtPeriod(t *testing.T) {
 	e := newEstimator(t)
-	if err := e.AddObservation(obs([]road.SegmentID{1, 2}, 80, 100)); err != nil {
+	if err := addOne(e, obs([]road.SegmentID{1, 2}, 80, 100)); err != nil {
 		t.Fatal(err)
 	}
 	// Before the first period boundary: nothing folded yet.
@@ -233,10 +240,10 @@ func TestEstimatorFoldsAtPeriod(t *testing.T) {
 func TestEstimatorWindowAveragesThenFuses(t *testing.T) {
 	e := newEstimator(t)
 	// Two reports in window 1, both on segment 1.
-	if err := e.AddObservation(obs([]road.SegmentID{1}, 60, 10)); err != nil {
+	if err := addOne(e, obs([]road.SegmentID{1}, 60, 10)); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.AddObservation(obs([]road.SegmentID{1}, 100, 20)); err != nil {
+	if err := addOne(e, obs([]road.SegmentID{1}, 100, 20)); err != nil {
 		t.Fatal(err)
 	}
 	e.Advance(300)
@@ -245,7 +252,7 @@ func TestEstimatorWindowAveragesThenFuses(t *testing.T) {
 		t.Errorf("window fold should count as one Bayesian update, got %d", first.Reports)
 	}
 	// A much slower second window pulls the estimate down.
-	if err := e.AddObservation(obs([]road.SegmentID{1}, 400, 310)); err != nil {
+	if err := addOne(e, obs([]road.SegmentID{1}, 400, 310)); err != nil {
 		t.Fatal(err)
 	}
 	e.Advance(600)
@@ -263,7 +270,7 @@ func TestEstimatorWindowAveragesThenFuses(t *testing.T) {
 
 func TestEstimatorSnapshotAndCovered(t *testing.T) {
 	e := newEstimator(t)
-	if err := e.AddObservation(obs([]road.SegmentID{3, 1}, 80, 10)); err != nil {
+	if err := addOne(e, obs([]road.SegmentID{3, 1}, 80, 10)); err != nil {
 		t.Fatal(err)
 	}
 	e.Advance(300)
@@ -286,7 +293,7 @@ func TestEstimatorConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 100; i++ {
 				sid := road.SegmentID(i % 10)
-				if err := e.AddObservation(obs([]road.SegmentID{sid}, 50+float64(i), float64(i))); err != nil {
+				if err := addOne(e, obs([]road.SegmentID{sid}, 50+float64(i), float64(i))); err != nil {
 					t.Error(err)
 					return
 				}
@@ -303,12 +310,12 @@ func TestEstimatorConcurrent(t *testing.T) {
 
 func TestEstimatorLateObservationTriggersFolds(t *testing.T) {
 	e := newEstimator(t)
-	if err := e.AddObservation(obs([]road.SegmentID{1}, 80, 10)); err != nil {
+	if err := addOne(e, obs([]road.SegmentID{1}, 80, 10)); err != nil {
 		t.Fatal(err)
 	}
 	// An observation far in the future advances through many periods,
 	// folding the pending window on the way.
-	if err := e.AddObservation(obs([]road.SegmentID{1}, 90, 10*DefaultPeriodS+1)); err != nil {
+	if err := addOne(e, obs([]road.SegmentID{1}, 90, 10*DefaultPeriodS+1)); err != nil {
 		t.Fatal(err)
 	}
 	est, ok := e.Get(1)
@@ -337,7 +344,7 @@ func TestEstimatorOrderInsensitiveProperty(t *testing.T) {
 
 		serial := newEstimator(t)
 		for _, o := range obsSet {
-			if err := serial.AddObservation(o); err != nil {
+			if err := addOne(serial, o); err != nil {
 				return false
 			}
 		}
@@ -345,7 +352,7 @@ func TestEstimatorOrderInsensitiveProperty(t *testing.T) {
 
 		shuffled := newEstimator(t)
 		for i, p := range rng.Perm(n) {
-			if err := shuffled.AddObservation(obsSet[p]); err != nil {
+			if err := addOne(shuffled, obsSet[p]); err != nil {
 				return false
 			}
 			// Interleave settles: late arrivals must refold cleanly.
@@ -363,9 +370,116 @@ func TestEstimatorOrderInsensitiveProperty(t *testing.T) {
 	}
 }
 
+func TestEstimatorOrderInsensitiveBatches(t *testing.T) {
+	// Batching is invisible in the settled state: a random observation
+	// stream (with invalid observations, windows behind Compact, and
+	// Advance calls between batches) fed as random batches folds to the
+	// same estimates, late drops and per-batch acceptance counts as the
+	// same stream fed one observation per call. Each batched call moves
+	// the version by at most one, and only on a visible change.
+	var lateDropped, bumps int
+	f := func(seed uint64) bool {
+		rng := stats.NewRNG(seed)
+		n := 10 + rng.Intn(60)
+		stream := make([]Observation, n)
+		for i := range stream {
+			o := obs(
+				[]road.SegmentID{road.SegmentID(rng.Intn(4)), road.SegmentID(4 + rng.Intn(3))},
+				rng.Range(40, 400),
+				rng.Range(0, 8*DefaultPeriodS),
+			)
+			switch rng.Intn(10) {
+			case 0:
+				o.Segments = nil
+			case 1:
+				o.BTTSeconds = 0
+			case 2:
+				o.LengthM = -1
+			}
+			stream[i] = o
+		}
+		batched, single := newEstimator(t), newEstimator(t)
+		for len(stream) > 0 {
+			k := 1 + rng.Intn(8)
+			if k > len(stream) {
+				k = len(stream)
+			}
+			batch := stream[:k]
+			stream = stream[k:]
+
+			before := batched.View()
+			got, _ := batched.AddObservations(batch)
+			after := batched.View()
+			if d := after.Version - before.Version; d > 1 {
+				t.Logf("seed %d: one batch moved the version by %d", seed, d)
+				return false
+			}
+			if after.Version != before.Version {
+				bumps++
+			}
+			// The change marks name exactly the segments that moved.
+			var moved []road.SegmentID
+			for sid, est := range after.Estimates {
+				if old, ok := before.Estimates[sid]; !ok || old != est {
+					moved = append(moved, sid)
+				}
+			}
+			slices.Sort(moved)
+			if delta, removed := after.DeltaSince(before.Version); !slices.Equal(delta, moved) || len(removed) != 0 {
+				t.Logf("seed %d: delta %v / removed %v, want %v moved", seed, delta, removed, moved)
+				return false
+			}
+			if (after.Version != before.Version) == reflect.DeepEqual(after.Estimates, before.Estimates) {
+				t.Logf("seed %d: version %d -> %d disagrees with the visible change", seed, before.Version, after.Version)
+				return false
+			}
+			want := 0
+			for _, o := range batch {
+				acc, err := single.AddObservations([]Observation{o})
+				if (acc == 1) != (err == nil) {
+					t.Logf("seed %d: accepted %d with err %v", seed, acc, err)
+					return false
+				}
+				want += acc
+			}
+			if got != want {
+				t.Logf("seed %d: batch accepted %d, one-by-one %d", seed, got, want)
+				return false
+			}
+			if !reflect.DeepEqual(batched.View().Estimates, single.View().Estimates) {
+				t.Logf("seed %d: estimates diverged after a batch", seed)
+				return false
+			}
+			switch rng.Intn(4) {
+			case 0:
+				at := rng.Range(0, 9*DefaultPeriodS)
+				batched.Advance(at)
+				single.Advance(at)
+			case 1:
+				batched.Compact()
+				single.Compact()
+			}
+		}
+		batched.Advance(9 * DefaultPeriodS)
+		single.Advance(9 * DefaultPeriodS)
+		if batched.LateDropped() != single.LateDropped() {
+			t.Logf("seed %d: late dropped %d vs %d", seed, batched.LateDropped(), single.LateDropped())
+			return false
+		}
+		lateDropped += batched.LateDropped()
+		return reflect.DeepEqual(batched.Snapshot(), single.Snapshot())
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
+		t.Fatal(err)
+	}
+	if lateDropped == 0 || bumps == 0 {
+		t.Fatalf("vacuous run: %d late drops, %d version bumps", lateDropped, bumps)
+	}
+}
+
 func TestEstimatorCompactBoundsStateAndCountsLate(t *testing.T) {
 	e := newEstimator(t)
-	if err := e.AddObservation(obs([]road.SegmentID{1}, 80, 10)); err != nil {
+	if err := addOne(e, obs([]road.SegmentID{1}, 80, 10)); err != nil {
 		t.Fatal(err)
 	}
 	e.Advance(DefaultPeriodS)
@@ -373,7 +487,7 @@ func TestEstimatorCompactBoundsStateAndCountsLate(t *testing.T) {
 	e.Compact()
 
 	// A report for the compacted window is dropped, not folded.
-	if err := e.AddObservation(obs([]road.SegmentID{1}, 400, 20)); err != nil {
+	if err := addOne(e, obs([]road.SegmentID{1}, 400, 20)); err != nil {
 		t.Fatal(err)
 	}
 	e.Advance(2 * DefaultPeriodS)
@@ -386,7 +500,7 @@ func TestEstimatorCompactBoundsStateAndCountsLate(t *testing.T) {
 	}
 
 	// Reports for live windows still fold normally after compaction.
-	if err := e.AddObservation(obs([]road.SegmentID{1}, 400, 2*DefaultPeriodS+10)); err != nil {
+	if err := addOne(e, obs([]road.SegmentID{1}, 400, 2*DefaultPeriodS+10)); err != nil {
 		t.Fatal(err)
 	}
 	e.Advance(3 * DefaultPeriodS)
@@ -403,7 +517,7 @@ func TestEstimatorCompactionIdempotentWhenTimely(t *testing.T) {
 		e := newEstimator(t)
 		for w := 0; w < 4; w++ {
 			at := float64(w)*DefaultPeriodS + 10
-			if err := e.AddObservation(obs([]road.SegmentID{1, 2}, 60+20*float64(w), at)); err != nil {
+			if err := addOne(e, obs([]road.SegmentID{1, 2}, 60+20*float64(w), at)); err != nil {
 				t.Fatal(err)
 			}
 			e.Advance(float64(w+1) * DefaultPeriodS)

@@ -281,10 +281,11 @@ func LegFreeKmh(net *road.Network, leg transit.Leg) float64 {
 }
 
 // Estimator is stage 5: observations fold into the Bayesian per-segment
-// traffic estimator (Eq. 4). The estimator is internally synchronized,
-// but fold order affects the fused numbers, so callers serialize Run
-// calls when determinism matters (the batch-ingest path folds in input
-// order).
+// traffic estimator (Eq. 4). The estimator is internally synchronized
+// and order-insensitive — it folds the observation multiset to the same
+// map in any delivery order — so Run calls need no serialization. Each
+// Run hands its whole input to the estimator as one batch, so a trip
+// (or a scatter group) settles and publishes at most once.
 type Estimator struct {
 	instrument
 	est *traffic.Estimator
@@ -307,18 +308,13 @@ func NewEstimatorStage(est *traffic.Estimator, hook Hook) *Estimator {
 	return &Estimator{instrument: instrument{name: "estimate", hook: hook}, est: est}
 }
 
-// Run folds the observations into the estimator; individually invalid
-// observations are dropped, never failing the trip.
+// Run folds the observations into the estimator as one batch;
+// individually invalid observations are dropped, never failing the
+// trip.
 func (e *Estimator) Run(ctx context.Context, in EstimateInput) EstimateOutput {
 	start := e.now()
-	var out EstimateOutput
-	for _, o := range in.Observations {
-		if err := e.est.AddObservation(o); err != nil {
-			out.Discarded++
-			continue
-		}
-		out.Folded++
-	}
+	folded, _ := e.est.AddObservations(in.Observations)
+	out := EstimateOutput{Folded: folded, Discarded: len(in.Observations) - folded}
 	e.observe(ctx, len(in.Observations), out.Folded, out.Discarded, start)
 	return out
 }
