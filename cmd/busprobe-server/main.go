@@ -11,7 +11,7 @@
 //	                [-pprof] [-drain-timeout SECONDS]
 //	                [-shard-id N] [-shard-addrs URL,URL,...]
 //	                [-store-dir DIR] [-snapshot-every N] [-segment-bytes N]
-//	                [-recovery-report FILE]
+//	                [-recovery-report FILE] [-journal LEGACY-FILE]
 //
 // Durability. -store-dir enables the log-structured store: every
 // accepted trip (and received cross-shard scatter group) appends to an
@@ -22,9 +22,10 @@
 // O(history). On boot each shard recovers from its newest intact
 // snapshot plus tail replay, falling back one snapshot (or to a full
 // replay) on corruption; the per-shard outcome prints and, with
-// -recovery-report, lands in a JSON artifact. A legacy -journal file
-// found next to a virgin store is migrated in as its first segment.
-// The old single-file -journal mode (no -store-dir) still works.
+// -recovery-report, lands in a JSON artifact. -journal names a legacy
+// JSON-lines trip file (one per shard, <path>.shardN, when sharded):
+// found next to a virgin store it is migrated in as the first segment
+// and retired. It is a migration input only, so it requires -store-dir.
 //
 // Process topology. By default one process hosts everything: a
 // monolith (-shards 1) or N in-process shards behind an in-process
@@ -41,8 +42,9 @@
 // routes uploads to the shard processes and merges reads; any number of
 // coordinators can front the same shards. Every process derives the
 // same world and route partition from -seed, so no topology needs to be
-// exchanged at runtime. In multi-process mode -journal belongs to the
-// shard processes (each keeps <path>.shardN for its own id).
+// exchanged at runtime. In multi-process mode -store-dir and -journal
+// belong to the shard processes (each migrates <path>.shardN for its
+// own id).
 //
 // Endpoints:
 //
@@ -94,7 +96,7 @@ func main() {
 	world := flag.String("world", "paper", "world preset: paper, small, or london")
 	surveyRuns := flag.Int("survey-runs", 4, "fingerprint survey passes per stop")
 	fpdbPath := flag.String("fpdb", "", "fingerprint DB file: loaded if present, written after a survey otherwise")
-	journalPath := flag.String("journal", "", "trip journal (JSONL): replayed at startup, appended on upload (with -shards > 1, one <path>.shardN file per shard)")
+	journalPath := flag.String("journal", "", "legacy trip journal (JSONL) to migrate into a virgin -store-dir, then retire (with -shards > 1, one <path>.shardN file per shard); requires -store-dir")
 	shards := flag.Int("shards", 1, "region shards behind the coordinator (1 = monolithic)")
 	ingestWorkers := flag.Int("ingest-workers", 0, "batch-ingest parallelism (0 = GOMAXPROCS)")
 	maxInflight := flag.Int("max-inflight-batches", 0, "admission gate: concurrent batch ingests before shedding with 429 (0 = unbounded)")
@@ -103,7 +105,7 @@ func main() {
 	drainTimeout := flag.Float64("drain-timeout", 10, "seconds to drain in-flight requests on SIGTERM before forcing exit")
 	shardID := flag.Int("shard-id", -1, "run as shard process N of the -shard-addrs topology (-1 = not a shard process)")
 	shardAddrs := flag.String("shard-addrs", "", "comma-separated shard process base URLs, in shard order; with -shard-id runs that shard, without it runs a stateless coordinator tier over them")
-	storeDir := flag.String("store-dir", "", "log-structured store base directory (per-shard stores under <dir>/shardN/); replaces -journal, which is migrated in if present")
+	storeDir := flag.String("store-dir", "", "log-structured store base directory (per-shard stores under <dir>/shardN/)")
 	snapshotEvery := flag.Int("snapshot-every", 50000, "records appended between automatic checkpoints (0 = checkpoint only on shutdown)")
 	segmentBytes := flag.Int64("segment-bytes", 0, "sealed-segment size threshold in bytes (0 = 4 MiB default)")
 	recoveryReport := flag.String("recovery-report", "", "write the boot recovery report as JSON to this file")
@@ -181,7 +183,10 @@ func run(t topology) error {
 	if t.shardID >= len(t.shardAddrs) && t.shardID >= 0 {
 		return fmt.Errorf("-shard-id %d outside the %d-entry -shard-addrs list", t.shardID, len(t.shardAddrs))
 	}
-	// Root context: canceled on SIGTERM/SIGINT so journal replay and
+	if journalPath != "" && t.storeDir == "" {
+		return fmt.Errorf("-journal is only a legacy file to migrate into the store; it requires -store-dir")
+	}
+	// Root context: canceled on SIGTERM/SIGINT so store recovery and
 	// in-flight ingestion observe shutdown, not just the listener.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
@@ -213,10 +218,11 @@ func run(t topology) error {
 	fmt.Printf("fingerprint DB: %d stops surveyed\n", fpdb.Len())
 	hc := server.HandlerConfig{Obs: core, Pprof: pprofOn}
 	var handler http.Handler
-	// Store-backed shards: each backend here checkpoints when its store
-	// signals (and once more on drain), and its log closes on exit.
-	var storeBackends []*server.Backend
-	var storeLogs []*server.StoreLog
+	// Store-backed shards: recs[i] restored recovered[i], which
+	// checkpoints when its store signals (and once more on drain); its
+	// log closes on exit.
+	var recs []*server.StoreRecovery
+	var recovered []*server.Backend
 	switch {
 	case t.shardID >= 0:
 		// Shard process: one region shard of the -shard-addrs topology,
@@ -226,50 +232,20 @@ func run(t topology) error {
 			return err
 		}
 		if t.storeDir != "" {
-			legacy := ""
-			if journalPath != "" {
-				legacy = journalPaths(journalPath, len(t.shardAddrs))[t.shardID]
-			}
 			dir := server.ShardStoreDir(t.storeDir, t.shardID)
+			legacy := journalPaths(journalPath, len(t.shardAddrs))[t.shardID]
 			rec, err := server.RecoverBackendStore(ctx, t.storeOpts(dir), legacy, b)
 			if err != nil {
 				return err
 			}
-			recs := []*server.StoreRecovery{rec}
-			printRecovery(recs)
-			if err := writeRecoveryReport(t.recoveryReport, recs); err != nil {
-				return err
-			}
-			storeBackends = append(storeBackends, b)
-			storeLogs = append(storeLogs, rec.Log())
-		} else if journalPath != "" {
-			// Each shard process journals (and replays) only its own
-			// <path>.shardN file: trips in it were routed here by a
-			// coordinator, and replay re-scatters cross-shard groups
-			// under their original idempotency keys, so a peer that
-			// never lost its fold ignores them.
-			p := journalPaths(journalPath, len(t.shardAddrs))[t.shardID]
-			reports, err := server.ReplayJournals(ctx, []string{p}, b)
-			if err != nil {
-				return err
-			}
-			printReplay(reports)
-			j, err := server.OpenJournal(p)
-			if err != nil {
-				return err
-			}
-			defer j.Close()
-			b.AttachJournal(j)
+			recs, recovered = []*server.StoreRecovery{rec}, []*server.Backend{b}
 		}
 		fmt.Printf("shard process %d of %d (peers: %s)\n",
 			t.shardID, len(t.shardAddrs), strings.Join(t.shardAddrs, ", "))
 		handler = server.NewShardHandler(b, hc)
 	case len(t.shardAddrs) > 0:
 		// Stateless coordinator tier over already-running shard
-		// processes: routes uploads, merges reads, journals nothing.
-		if journalPath != "" {
-			return fmt.Errorf("-journal belongs to the shard processes in multi-process mode")
-		}
+		// processes: routes uploads, merges reads, persists nothing.
 		if t.storeDir != "" {
 			return fmt.Errorf("-store-dir belongs to the shard processes in multi-process mode")
 		}
@@ -296,48 +272,11 @@ func run(t topology) error {
 			return err
 		}
 		if t.storeDir != "" {
-			var legacies []string
-			if journalPath != "" {
-				legacies = journalPaths(journalPath, shards)
-			}
-			recs, err := coord.RecoverStores(ctx, t.storeDir, t.storeOpts(""), legacies)
+			recs, err = coord.RecoverStores(ctx, t.storeDir, t.storeOpts(""), journalPaths(journalPath, shards))
 			if err != nil {
 				return err
 			}
-			printRecovery(recs)
-			if err := writeRecoveryReport(t.recoveryReport, recs); err != nil {
-				return err
-			}
-			for i, b := range coord.Shards() {
-				if recs[i].Log() == nil {
-					continue
-				}
-				storeBackends = append(storeBackends, b)
-				storeLogs = append(storeLogs, recs[i].Log())
-			}
-		} else if journalPath != "" {
-			// Replay through the coordinator, not the owning shard:
-			// routing is content-deterministic, so trips land back on
-			// their home shards even if the shard count changed since
-			// the journals were written.
-			paths := journalPaths(journalPath, shards)
-			reports, err := server.ReplayJournals(ctx, paths, coord)
-			if err != nil {
-				return err
-			}
-			printReplay(reports)
-			journals := make([]*server.Journal, shards)
-			for i, p := range paths {
-				j, err := server.OpenJournal(p)
-				if err != nil {
-					return err
-				}
-				defer j.Close()
-				journals[i] = j
-			}
-			if err := coord.AttachJournals(journals); err != nil {
-				return err
-			}
+			recovered = coord.Shards()
 		}
 		if shards > 1 {
 			for _, st := range coord.ShardStatuses() {
@@ -347,13 +286,22 @@ func run(t topology) error {
 		}
 		handler = server.NewHandler(coord, hc)
 	}
+	if recs != nil {
+		printRecovery(recs)
+		if err := writeRecoveryReport(t.recoveryReport, recs); err != nil {
+			return err
+		}
+	}
 	if pprofOn {
 		fmt.Println("pprof: serving /debug/pprof/")
 	}
 	// One snapshotter per store-backed shard: when SnapshotEvery records
 	// have appended, checkpoint that shard (seal + snapshot + compact).
-	for i := range storeBackends {
-		go snapshotter(ctx, storeBackends[i], storeLogs[i])
+	// A shard whose recovery failed has no log and runs without one.
+	for i, rec := range recs {
+		if rec.Log() != nil {
+			go snapshotter(ctx, recovered[i], rec.Log())
+		}
 	}
 	srv := &http.Server{Addr: addr, Handler: handler}
 	errc := make(chan error, 1)
@@ -376,11 +324,14 @@ func run(t topology) error {
 	}
 	// Final checkpoint: the drained state lands in a snapshot so the
 	// next boot restarts in O(tail)≈O(1) instead of replaying history.
-	for i, b := range storeBackends {
-		if err := b.Checkpoint(); err != nil {
+	for i, rec := range recs {
+		if rec.Log() == nil {
+			continue
+		}
+		if err := recovered[i].Checkpoint(); err != nil {
 			log.Printf("warning: final checkpoint: %v", err)
 		}
-		if err := storeLogs[i].Close(); err != nil {
+		if err := rec.Log().Close(); err != nil {
 			log.Printf("warning: close store: %v", err)
 		}
 	}
@@ -438,28 +389,13 @@ func writeRecoveryReport(path string, recs []*server.StoreRecovery) error {
 	return nil
 }
 
-// printReplay summarizes journal replay, totaled and per shard file.
-func printReplay(reports []server.ReplayReport) {
-	var replayed, skipped int
-	for _, r := range reports {
-		replayed += r.Replayed
-		skipped += r.Skipped
-	}
-	fmt.Printf("journal: replayed %d trips (%d skipped)\n", replayed, skipped)
-	if len(reports) > 1 {
-		for _, r := range reports {
-			if r.Missing {
-				fmt.Printf("journal shard %d: %s missing (fresh shard)\n", r.Shard, r.Path)
-				continue
-			}
-			fmt.Printf("journal shard %d: replayed %d (%d skipped)\n", r.Shard, r.Replayed, r.Skipped)
-		}
-	}
-}
-
-// journalPaths names each shard's journal file: the bare path for a
-// monolithic run, "<path>.shardN" per shard otherwise.
+// journalPaths names each shard's legacy -journal file: the bare path
+// for a monolithic run, "<path>.shardN" per shard otherwise, and no
+// file ("") for any shard without -journal.
 func journalPaths(path string, shards int) []string {
+	if path == "" {
+		return make([]string, shards)
+	}
 	if shards == 1 {
 		return []string{path}
 	}

@@ -27,8 +27,9 @@ import (
 //     mid-corpus and rebooted from their per-shard stores, including
 //     the cross-shard scatter groups persisted in the receiving
 //     shard's log.
-//  3. Legacy migration: a -journal-only run's file is adopted by the
-//     next -store-dir boot, replayed in full, and retired.
+//  3. Legacy migration: a legacy -journal file holding the first part
+//     of the corpus is adopted by a -store-dir boot, replayed in full,
+//     and retired.
 var scenarioRestart = Scenario{
 	Name:        "restart-recovery",
 	Description: "kill -9 a store-backed server mid-corpus: reboot recovers snapshot+tail, traffic byte-identical (monolith, shard procs, legacy migration)",
@@ -438,41 +439,35 @@ func restartShardProcs(ctx context.Context, e *env, r *Result, rec *LatencyRecor
 	return nil
 }
 
-// restartLegacyMigration runs phase 3: a journal-only run's file must
-// be adopted by the next store-backed boot — replayed in full,
+// restartLegacyMigration runs phase 3: a legacy -journal file (one
+// bare trip JSON object per line, as the pre-store server wrote it)
+// must be adopted by the next store-backed boot — replayed in full,
 // retired from disk, and invisible in the served bytes.
 func restartLegacyMigration(ctx context.Context, e *env, r *Result, rec *LatencyRecorder, corpus []probe.Trip, cut int, refBytes []byte, work string) error {
 	dir := filepath.Join(work, "legacy-store")
 	journal := filepath.Join(work, "legacy.jsonl")
-
-	srv1, err := e.bootServer(ctx, "legacy-v1", "-journal", journal)
-	if err != nil {
+	var lines []byte
+	for i := range corpus[:cut] {
+		line, err := json.Marshal(&corpus[i])
+		if err != nil {
+			return err
+		}
+		lines = append(append(lines, line...), '\n')
+	}
+	if err := os.WriteFile(journal, lines, 0o644); err != nil {
 		return err
 	}
-	wc := newWireCounter(srv1.Client, rec)
-	if err := driveTrips(ctx, wc, corpus[:cut]); err != nil {
-		killProc(ctx, e, srv1) //lint:allow errcheckio best-effort reap on the error path; the drive error is the verdict
-		return err
-	}
-	tallyWire(r, wc)
-	// The journal flushes per append, so even a crash here would keep
-	// it; a graceful stop keeps this phase about migration, not tearing.
-	stopCtx, cancel := e.shutdownCtx()
-	code, stopErr := srv1.Stop(stopCtx)
-	cancel()
-	r.check("legacy: journal-only server drains clean", stopErr == nil && code == 0,
-		fmt.Sprintf("exit code %d, err %v", code, stopErr))
 
 	report := filepath.Join(work, "restart-recovery-legacy-reboot.json")
 	args := append(storeFlags(dir, report, snapshotEveryFor(cut)), "-journal", journal)
-	srv2, err := e.bootServer(ctx, "legacy-v2", args...)
+	srv, err := e.bootServer(ctx, "legacy", args...)
 	if err != nil {
 		return err
 	}
 	defer func() {
 		sctx, cancel := e.shutdownCtx()
 		defer cancel()
-		srv2.Shutdown(sctx)
+		srv.Shutdown(sctx)
 	}()
 	e.keepArtifact(report)
 	recs, err := readRecoveryReport(report)
@@ -488,14 +483,14 @@ func restartLegacyMigration(ctx context.Context, e *env, r *Result, rec *Latency
 	r.check("legacy: journal file retired after migration", os.IsNotExist(statErr),
 		fmt.Sprintf("stat %s: %v", journal, statErr))
 
-	wc2 := newWireCounter(srv2.Client, rec)
-	if err := driveTrips(ctx, wc2, corpus[cut:]); err != nil {
+	wc := newWireCounter(srv.Client, rec)
+	if err := driveTrips(ctx, wc, corpus[cut:]); err != nil {
 		return err
 	}
-	_, delivered, dup, failed := wc2.snapshot()
+	_, delivered, dup, failed := wc.snapshot()
 	r.check("legacy: post-migration trips all land", failed == 0 && dup == 0 && delivered == len(corpus)-cut,
-		fmt.Sprintf("delivered %d duplicate %d failed %d (%s)", delivered, dup, failed, wc2.failDetail()))
-	tallyWire(r, wc2)
-	checkMapIdentical(ctx, r, srv2.URL, refBytes, "legacy: map byte-identical after migration")
+		fmt.Sprintf("delivered %d duplicate %d failed %d (%s)", delivered, dup, failed, wc.failDetail()))
+	tallyWire(r, wc)
+	checkMapIdentical(ctx, r, srv.URL, refBytes, "legacy: map byte-identical after migration")
 	return nil
 }

@@ -1,9 +1,9 @@
 // Package errcheckio flags dropped errors on the I/O surfaces the
-// backend's durability story depends on: journal writes and closes on
+// backend's durability story depends on: store writes and closes on
 // the persistence paths, JSON encodes onto http.ResponseWriter, and
-// buffered-writer flushes. A journal Append whose flush error vanishes
+// buffered-writer flushes. A store Append whose flush error vanishes
 // is a trip the server acknowledged but will not replay after a crash
-// — exactly the failure the journal exists to prevent.
+// — exactly the failure the store exists to prevent.
 //
 // Flagged in non-test files:
 //
@@ -31,7 +31,7 @@ import (
 // Analyzer is the errcheckio check.
 var Analyzer = &analysis.Analyzer{
 	Name: "errcheckio",
-	Doc: "flag dropped errors on journal/persistence writes, " +
+	Doc: "flag dropped errors on store/persistence writes, " +
 		"ResponseWriter encodes, and file closes",
 	Run: run,
 }

@@ -14,16 +14,14 @@ import (
 )
 
 // TripLog is the backend's durable trip sink: admit() appends every
-// accepted upload before processing it. Both the legacy single-file
-// *Journal and the log-structured *StoreLog satisfy it.
+// accepted upload before processing it. *StoreLog is the durable
+// implementation; an interface so a caller can wrap it (tracing) or
+// stand in for it (fault injection).
 type TripLog interface {
 	Append(ctx context.Context, trip probe.Trip) error
 }
 
-var (
-	_ TripLog = (*Journal)(nil)
-	_ TripLog = (*StoreLog)(nil)
-)
+var _ TripLog = (*StoreLog)(nil)
 
 // PersistentStateSchema versions the snapshot state blob. A snapshot
 // carrying another schema is skipped down the recovery ladder.
@@ -72,7 +70,7 @@ type PendingScatter struct {
 // ExportState captures the backend's durable state. Safe to call on a
 // live backend, but only a checkpoint-quiesced export (Checkpoint) is
 // guaranteed consistent with a segment boundary — a concurrent trip
-// could otherwise land its journal record and its fold on opposite
+// could otherwise land its log record and its fold on opposite
 // sides of the export.
 func (b *Backend) ExportState() *PersistentState {
 	b.scatterMu.Lock()
@@ -162,8 +160,8 @@ func (b *Backend) ImportState(st *PersistentState) error {
 // storeRecord is the store's record envelope. Kind "trip" carries one
 // accepted upload; kind "scatter" carries one cross-shard observation
 // group received for folding. A line with no kind is a legacy journal
-// record: a bare trip JSON object, as migrated single-file journals
-// contain.
+// record: a bare trip JSON object, one per line, as the -journal file
+// that store.MigrateLegacy adopts contains.
 type storeRecord struct {
 	Kind string                `json:"kind,omitempty"`
 	Trip *probe.Trip           `json:"trip,omitempty"`
@@ -240,20 +238,12 @@ func (l *StoreLog) AppendScatter(ctx context.Context, key string, obs []traffic.
 // Close flushes and closes the underlying store.
 func (l *StoreLog) Close() error { return l.s.Close() }
 
-// AttachStore wires both of the backend's append points to the store
-// log: accepted trips and received scatter groups. Attach AFTER
-// recovery, like AttachJournal — RecoverBackendStore and RecoverStores
-// sequence this themselves.
-func (b *Backend) AttachStore(l *StoreLog) {
-	b.attachScatterLog(l)
-	b.AttachTripLog(l)
-}
-
 // AttachTripLog makes the backend append every accepted trip to the
-// log. Attach AFTER replay, or replayed trips would be re-journaled.
+// log. Attach AFTER replay, or replayed trips would be re-appended;
+// RecoverBackendStore and RecoverStores sequence this themselves.
 func (b *Backend) AttachTripLog(l TripLog) {
 	b.dedupMu.Lock()
-	b.journal = l
+	b.tripLog = l
 	b.dedupMu.Unlock()
 }
 
@@ -548,20 +538,4 @@ func planShardRecovery(opts store.Options, migrated bool, b *Backend, rec *Store
 	}
 	rec.Report = plan.Report
 	return plan, nil
-}
-
-// AttachStores gives each in-process shard its own store log (one per
-// shard, in shard order), both append points. Attach AFTER recovery,
-// as with AttachJournals.
-func (c *Coordinator) AttachStores(ls []*StoreLog) error {
-	if len(ls) != len(c.shards) {
-		return fmt.Errorf("server: %d store logs for %d shards", len(ls), len(c.shards))
-	}
-	for i, b := range c.backends {
-		if b == nil {
-			return fmt.Errorf("server: shard %d is remote; it persists in its own process", i)
-		}
-		b.AttachStore(ls[i])
-	}
-	return nil
 }

@@ -298,66 +298,180 @@ func TestCoordinatorStoreRecovery(t *testing.T) {
 	}
 }
 
-// TestStoreLegacyJournalMigration: a deployment carrying a single-file
-// journal boots onto the store by adopting the journal as the first
-// segment, replaying it, and serving the identical map.
+// legacyLine renders one trip as a legacy -journal line: a bare
+// probe.Trip JSON object plus its newline.
+func legacyLine(t *testing.T, trip probe.Trip) []byte {
+	t.Helper()
+	b, err := json.Marshal(&trip)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return append(b, '\n')
+}
+
+// TestStoreLegacyJournalMigration: a deployment carrying a legacy
+// -journal file boots onto the store by adopting the file as the first
+// segment, replaying it, and serving the identical map. Each defect a
+// crash or a damaged disk can leave in the file costs exactly the line
+// it hits: records after it still replay, and the map is byte-identical
+// to a reference fed only the accepted trips. The migrated store then
+// keeps working: a checkpoint seals over the defect and the next boot
+// restarts from the snapshot.
 func TestStoreLegacyJournalMigration(t *testing.T) {
 	fx := newTwinFixture(t)
 	trips := twinCorpus(t, fx.world, faults.Config{})
+	n, mid := len(trips), len(trips)/2
+	if mid < 1 {
+		t.Fatalf("corpus too small (%d trips) to cut", n)
+	}
+	refBytes := func(accepted []probe.Trip) []byte {
+		ref, err := NewBackend(DefaultConfig(), fx.world.Transit, fx.fpdb)
+		if err != nil {
+			t.Fatal(err)
+		}
+		replayInto(t, ref, accepted)
+		ref.Advance(3 * clock.DayS)
+		return trafficBytes(t, ref)
+	}
+	wantAll := refBytes(trips)
+	lastLine := legacyLine(t, trips[n-1])
+	oversized := append(bytes.Repeat([]byte("x"), store.DefaultMaxRecordBytes+16), '\n')
 
-	legacy := filepath.Join(t.TempDir(), "journal.jsonl")
-	j, err := OpenJournal(legacy)
+	cases := []struct {
+		name string
+		// insert lands between trips[:mid] and trips[mid:]; torn
+		// replaces the final trip's line with its first half.
+		insert []byte
+		torn   bool
+		// skipped is StoreRecovery.TripsSkipped (undecodable lines and
+		// pipeline rejections); storeSkipped is the store's own
+		// Report.RecordsSkipped (lines too long to be a record).
+		skipped, storeSkipped int
+	}{
+		{name: "intact"},
+		{name: "corrupt_middle_line", insert: []byte("{\"id\":\"garbled\",\"sam\n"), skipped: 1},
+		{name: "duplicate_trip", insert: legacyLine(t, trips[0]), skipped: 1},
+		{name: "oversized_line", insert: oversized, storeSkipped: 1},
+		{name: "torn_final_line", torn: true},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var file bytes.Buffer
+			for i, trip := range trips {
+				if i == mid {
+					file.Write(tc.insert)
+				}
+				if i == n-1 && tc.torn {
+					file.Write(lastLine[:len(lastLine)/2])
+					continue
+				}
+				file.Write(legacyLine(t, trip))
+			}
+			legacy := filepath.Join(t.TempDir(), "journal.jsonl")
+			if err := os.WriteFile(legacy, file.Bytes(), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			accepted, want := trips, wantAll
+			if tc.torn {
+				accepted = trips[:n-1]
+				want = refBytes(accepted)
+			}
+
+			dir := t.TempDir()
+			b, rec := recoverFresh(t, fx, dir, legacy)
+			if !rec.Report.Migrated {
+				t.Fatal("legacy journal not migrated")
+			}
+			if rec.TripsReplayed != len(accepted) || rec.TripsSkipped != tc.skipped {
+				t.Fatalf("replayed %d / skipped %d, want %d / %d", rec.TripsReplayed, rec.TripsSkipped, len(accepted), tc.skipped)
+			}
+			if rec.Report.RecordsSkipped != tc.storeSkipped {
+				t.Fatalf("store skipped %d lines, want %d", rec.Report.RecordsSkipped, tc.storeSkipped)
+			}
+			if _, err := os.Stat(legacy); !os.IsNotExist(err) {
+				t.Fatal("legacy journal still present after migration")
+			}
+			b.Advance(3 * clock.DayS)
+			if got := trafficBytes(t, b); !bytes.Equal(got, want) {
+				t.Error("migrated /v1/traffic differs from the reference fed only the accepted trips")
+			}
+			// The line after the defect replayed: it is a duplicate now.
+			if _, err := b.ProcessTrip(context.Background(), trips[mid]); !errors.Is(err, ErrDuplicateTrip) {
+				t.Errorf("trip after the defect was not replayed: %v", err)
+			}
+
+			if err := b.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+			if err := rec.Log().Close(); err != nil {
+				t.Fatal(err)
+			}
+			b2, rec2 := recoverFresh(t, fx, dir, legacy)
+			if rec2.Report.Mode != "snapshot+tail" || rec2.Report.Migrated {
+				t.Fatalf("post-migration recovery mode %q migrated=%t, want snapshot+tail, not migrated", rec2.Report.Mode, rec2.Report.Migrated)
+			}
+			b2.Advance(3 * clock.DayS)
+			if got := trafficBytes(t, b2); !bytes.Equal(got, want) {
+				t.Error("post-migration checkpointed recovery differs")
+			}
+			if err := rec2.Log().Close(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
+// TestRecoverStoresContinuesPastUnopenableShard: one shard whose store
+// cannot open must not stop the others. The failure lands on that
+// shard's own recovery and it boots without a log, while shard 0 still
+// recovers and replays — and a missing legacy file is no error.
+func TestRecoverStoresContinuesPastUnopenableShard(t *testing.T) {
+	fx := newTwinFixture(t)
+	trips := twinCorpus(t, fx.world, faults.Config{})
+	ctx := context.Background()
+	base := t.TempDir()
+	first := newTwinCoordinator(t, fx.world, fx.fpdb, 2)
+	recs, err := first.RecoverStores(ctx, base, storeTestOpts(""), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, trip := range trips {
-		if err := j.Append(context.Background(), trip); err != nil {
+	replayInto(t, first, trips)
+	for _, r := range recs {
+		if err := r.Log().Close(); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := j.Close(); err != nil {
-		t.Fatal(err)
+	shard0Trips := first.Shards()[0].Stats().TripsReceived
+	if shard0Trips == 0 {
+		t.Fatal("shard 0 took no trips; the replay path is untested")
 	}
 
-	ref, err := NewBackend(DefaultConfig(), fx.world.Transit, fx.fpdb)
+	// Shard 1's store directory becomes a regular file.
+	dead := ShardStoreDir(base, 1)
+	if err := os.RemoveAll(dead); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(dead, []byte("not a directory\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	missing := filepath.Join(t.TempDir(), "never-written.jsonl")
+	second := newTwinCoordinator(t, fx.world, fx.fpdb, 2)
+	recs2, err := second.RecoverStores(ctx, base, storeTestOpts(""), []string{missing, ""})
 	if err != nil {
+		t.Fatalf("an unopenable shard aborted recovery: %v", err)
+	}
+	if recs2[1].Err == "" || recs2[1].Log() != nil {
+		t.Errorf("shard 1 recovery = %+v, want an error and no log", recs2[1])
+	}
+	r0 := recs2[0]
+	if r0.Err != "" || r0.Report.Migrated || r0.Log() == nil {
+		t.Fatalf("shard 0 recovery = %+v, want clean, not migrated, log attached", r0)
+	}
+	if r0.TripsReplayed != shard0Trips || r0.TripsSkipped != 0 {
+		t.Errorf("shard 0 replayed %d / skipped %d, want %d / 0", r0.TripsReplayed, r0.TripsSkipped, shard0Trips)
+	}
+	if err := r0.Log().Close(); err != nil {
 		t.Fatal(err)
-	}
-	replayInto(t, ref, trips)
-	ref.Advance(3 * clock.DayS)
-	want := trafficBytes(t, ref)
-
-	dir := t.TempDir()
-	b, rec := recoverFresh(t, fx, dir, legacy)
-	if !rec.Report.Migrated {
-		t.Fatal("legacy journal not migrated")
-	}
-	if rec.TripsReplayed != len(trips) {
-		t.Fatalf("replayed %d trips from migrated journal, want %d", rec.TripsReplayed, len(trips))
-	}
-	if _, err := os.Stat(legacy); !os.IsNotExist(err) {
-		t.Fatal("legacy journal still present after migration")
-	}
-	b.Advance(3 * clock.DayS)
-	if got := trafficBytes(t, b); !bytes.Equal(got, want) {
-		t.Error("migrated /v1/traffic differs from the uninterrupted run")
-	}
-
-	// The migrated store keeps working: new trips append and a
-	// checkpoint lands.
-	if err := b.Checkpoint(); err != nil {
-		t.Fatal(err)
-	}
-	if err := rec.Log().Close(); err != nil {
-		t.Fatal(err)
-	}
-	b2, rec2 := recoverFresh(t, fx, dir, legacy)
-	if rec2.Report.Mode != "snapshot+tail" {
-		t.Fatalf("post-migration recovery mode %q, want snapshot+tail", rec2.Report.Mode)
-	}
-	b2.Advance(3 * clock.DayS)
-	if got := trafficBytes(t, b2); !bytes.Equal(got, want) {
-		t.Error("post-migration checkpointed recovery differs")
 	}
 }
 
@@ -542,11 +656,11 @@ func (l *flakyTripLog) Append(ctx context.Context, trip probe.Trip) error {
 	return nil
 }
 
-// TestAdmitUnmarksSeenOnJournalFailure: a trip whose journal append
-// fails was never durable, so its ID must not linger in the dedup set
-// — a phantom entry would reject the client's retry forever and a
-// snapshot would persist the phantom, losing the trip across restarts.
-func TestAdmitUnmarksSeenOnJournalFailure(t *testing.T) {
+// TestAdmitUnmarksSeenOnAppendFailure: a trip whose log append fails
+// was never durable, so its ID must not linger in the dedup set — a
+// phantom entry would reject the client's retry forever and a snapshot
+// would persist the phantom, losing the trip across restarts.
+func TestAdmitUnmarksSeenOnAppendFailure(t *testing.T) {
 	fx := newTwinFixture(t)
 	trips := twinCorpus(t, fx.world, faults.Config{})
 	b, err := NewBackend(DefaultConfig(), fx.world.Transit, fx.fpdb)
@@ -557,14 +671,14 @@ func TestAdmitUnmarksSeenOnJournalFailure(t *testing.T) {
 	b.AttachTripLog(log)
 	ctx := context.Background()
 	if _, err := b.ProcessTrip(ctx, trips[0]); err == nil {
-		t.Fatal("journaling failure did not fail the upload")
+		t.Fatal("append failure did not fail the upload")
 	}
 	if st := b.ExportState(); len(st.Seen) != 0 {
-		t.Fatalf("phantom trip ID exported after journaling failure: %v", st.Seen)
+		t.Fatalf("phantom trip ID exported after append failure: %v", st.Seen)
 	}
 	log.fail = false
 	if _, err := b.ProcessTrip(ctx, trips[0]); err != nil {
-		t.Fatalf("retry after journaling failure rejected: %v", err)
+		t.Fatalf("retry after append failure rejected: %v", err)
 	}
 	if _, err := b.ProcessTrip(ctx, trips[0]); !errors.Is(err, ErrDuplicateTrip) {
 		t.Fatalf("true duplicate not rejected: %v", err)

@@ -259,7 +259,7 @@ func (r *Recovery) replaySegment(sf segFile, fn func(rec []byte) error) error {
 	}
 	defer f.Close()
 	r.Report.SegmentsReplayed++
-	torn, oversized, err := ForEachLine(f, r.opts.MaxRecordBytes, func(line []byte) error {
+	torn, oversized, err := forEachLine(f, r.opts.MaxRecordBytes, func(line []byte) error {
 		if _, ok := parseFooter(line); ok {
 			return nil
 		}

@@ -188,65 +188,78 @@ type segScan struct {
 // counts as a record (content is not parsed — replay does that), the
 // last complete line is checked for a seal footer, and anything after
 // the final newline is the torn tail. Open uses this to adopt a
-// pre-existing active segment with an accurate running checksum.
+// pre-existing active segment with an accurate running checksum. The
+// checksum streams over every byte, but at most maxLine+1 bytes of a
+// line are kept (a footer is short, so a longer line cannot be one):
+// a corrupt or foreign file, such as a migrated legacy journal, cannot
+// make the scan buffer a huge line or torn tail.
 func scanSegment(path string, maxLine int) (segScan, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return segScan{}, fmt.Errorf("store: scan segment: %w", err)
 	}
 	defer f.Close()
-	var st segScan
-	var last []byte // most recent complete line, not yet folded in
-	haveLast := false
-	fold := func() {
-		st.crc = crc32.Update(st.crc, crc32.IEEETable, last)
-		st.crc = crc32.Update(st.crc, crc32.IEEETable, []byte{'\n'})
-		st.goodBytes += int64(len(last)) + 1
-		st.records++
-	}
+	keep := maxLine + 1
+	var (
+		crc   uint32 // over every byte read
+		n     int64  // bytes read
+		lines int    // complete lines
+		// The line being read: its start offset and checksum there,
+		// and its kept prefix (over: longer than keep).
+		cur      []byte
+		curOver  bool
+		curStart int64
+		curCRC   uint32
+		// The last complete line, the footer candidate: the same (its
+		// kept bytes empty when it was too long to keep), plus the
+		// offset and checksum just past its newline.
+		last              []byte
+		lastStart, endOff int64
+		lastCRC, endCRC   uint32
+	)
 	br := bufio.NewReader(f)
-	var partial []byte
 	for {
 		chunk, rerr := br.ReadSlice('\n')
-		partial = append(partial, chunk...)
+		crc = crc32.Update(crc, crc32.IEEETable, chunk)
+		n += int64(len(chunk))
+		if !curOver {
+			if len(cur)+len(chunk) > keep {
+				curOver, cur = true, cur[:0]
+			} else {
+				cur = append(cur, chunk...)
+			}
+		}
 		if rerr == bufio.ErrBufferFull {
 			continue
-		}
-		if rerr != nil && rerr != io.EOF {
-			return segScan{}, fmt.Errorf("store: scan segment: %w", rerr)
-		}
-		if n := len(partial); n > 0 && partial[n-1] == '\n' {
-			if haveLast {
-				fold()
-			}
-			last = append(last[:0], partial[:n-1]...)
-			haveLast = true
-			partial = partial[:0]
 		}
 		if rerr == io.EOF {
 			break
 		}
+		if rerr != nil {
+			return segScan{}, fmt.Errorf("store: scan segment: %w", rerr)
+		}
+		lines++
+		last, cur, curOver = cur, last[:0], false
+		lastStart, lastCRC, endOff, endCRC = curStart, curCRC, n, crc
+		curStart, curCRC = n, crc
 	}
-	st.tornBytes = int64(len(partial))
-	if haveLast {
-		if sf, ok := parseFooter(last); ok && st.tornBytes == 0 {
-			st.sealed = true
-			st.footer = sf
-		} else {
-			fold()
+	st := segScan{goodBytes: endOff, records: lines, crc: endCRC, tornBytes: n - endOff}
+	if len(last) > 0 && st.tornBytes == 0 {
+		if sf, ok := parseFooter(last[:len(last)-1]); ok {
+			st.sealed, st.footer = true, sf
+			st.goodBytes, st.records, st.crc = lastStart, lines-1, lastCRC
 		}
 	}
 	return st, nil
 }
 
-// ForEachLine feeds every complete line of r to fn, newline stripped.
+// forEachLine feeds every complete line of r to fn, newline stripped.
 // Lines longer than maxLine are skipped and counted (they cannot be
 // valid records — the writer refuses them — so a huge line means
 // corruption, and buffering it fully would let a corrupt file exhaust
 // memory). Trailing bytes with no newline are the torn tail. An error
-// from fn stops the walk. Exported because it is the line-log reading
-// discipline: the legacy journal replay shares it.
-func ForEachLine(r io.Reader, maxLine int, fn func(line []byte) error) (torn bool, oversized int, err error) {
+// from fn stops the walk.
+func forEachLine(r io.Reader, maxLine int, fn func(line []byte) error) (torn bool, oversized int, err error) {
 	br := bufio.NewReader(r)
 	var buf []byte
 	over := false

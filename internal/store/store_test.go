@@ -369,6 +369,68 @@ func TestOversizedLineSkipped(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
+
+	// Adopting the active segment counts the oversized line as a
+	// record and checksums every byte of it, though the scan keeps at
+	// most MaxRecordBytes+1 bytes of any line; an oversized torn tail
+	// is trimmed the same way.
+	f, err := os.OpenFile(activePath(dir, 1), os.O_WRONLY|os.O_APPEND, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteString(strings.Repeat("z", 300)); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	wantAdopted := func(s *Store, body string) {
+		t.Helper()
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		if s.activeRecs != strings.Count(body, "\n") || s.activeBytes != int64(len(body)) || s.activeCRC != crc32.ChecksumIEEE([]byte(body)) {
+			t.Fatalf("adopted records=%d bytes=%d crc=%08x, want %d/%d/%08x", s.activeRecs, s.activeBytes, s.activeCRC,
+				strings.Count(body, "\n"), len(body), crc32.ChecksumIEEE([]byte(body)))
+		}
+	}
+	s, err = Open(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantAdopted(s, content)
+	if err := s.Append(context.Background(), rec(3)); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	content += string(rec(3)) + "\n"
+	s, err = Open(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantAdopted(s, content)
+	// A later seal carries a footer recovery verifies.
+	if _, err := s.Seal(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	r, err = PlanRecovery(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines = lines[:0]
+	if err := r.Replay(context.Background(), func(line []byte) error {
+		lines = append(lines, string(line))
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if r.Report.CorruptSegments != 0 || r.Report.RecordsSkipped != 1 || len(lines) != 3 || lines[2] != string(rec(3)) {
+		t.Fatalf("after seal: corrupt=%d skipped=%d lines=%q notes=%v", r.Report.CorruptSegments, r.Report.RecordsSkipped, lines, r.Report.Notes)
+	}
 }
 
 func TestAdoptFinishesInterruptedSeal(t *testing.T) {
