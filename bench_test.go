@@ -342,8 +342,8 @@ func benchTrips(b *testing.B) []probe.Trip {
 // the concurrent batch path at GOMAXPROCS. Run with -cpu 1,4 to see the
 // batch path scale. With withObs, the backend registers into a live
 // observability core and every trip emits its stage spans — the pair of
-// results bounds the instrumentation overhead (budget: <= 5%, recorded
-// in BENCH_obs.json).
+// results bounds the instrumentation overhead (budget: <= 5%; measure
+// with go test -run NONE -bench 'IngestBatch(Obs)?$' -count 6 .).
 func benchIngest(b *testing.B, workers int, withObs bool) {
 	l := benchLab(b)
 	savedObs := l.Cfg.Obs
@@ -398,8 +398,8 @@ func BenchmarkIngestSerialObs(b *testing.B) { benchIngest(b, 1, true) }
 // takes — against an idle backend and against one absorbing a
 // continuous re-ingest load. With the copy-on-write snapshot the two
 // must stay close: readers never touch the estimator lock, so ingest
-// pressure cannot stall the serving path. BENCH_read.json records the
-// measured trajectory.
+// pressure cannot stall the serving path. Measure with
+// go test -run NONE -bench ReadUnderIngest -count 6 .
 func BenchmarkReadUnderIngest(b *testing.B) {
 	trips := benchTrips(b)
 	l := benchLab(b)

@@ -1,8 +1,9 @@
 // Command busprobe-lab is the conformance + load harness: it boots the
 // real busprobe-server binary in each process topology, drives it over
 // HTTP with named scenarios, and emits one standard JSON result per
-// suite. An optional committed baseline (BENCH_lab.json) turns the run
-// into a perf-regression gate.
+// suite. At the default small load each anchored suite also checks its
+// perf envelope, so a perf regression fails the suite like any other
+// check.
 //
 // Usage:
 //
@@ -20,13 +21,10 @@
 //	-days N            campaign days (default 2)
 //	-surge-riders N    surge scenario population (default 100000)
 //	-mem-bound-mb N    surge driver heap-growth bound (default 256)
-//	-baseline PATH     gate results against this baseline file
-//	-tolerance X       scale the baseline tolerances (default 1)
 //	-timeout SECONDS   whole-run budget (default 1800)
 //
-// Exit status: 0 all suites pass and the gate holds; 1 usage or
-// infrastructure error; 2 at least one suite failed; 3 suites passed
-// but the perf gate tripped.
+// Exit status: 0 all suites pass; 1 usage or infrastructure error; 2 at
+// least one suite failed (a perf-envelope breach included).
 package main
 
 import (
@@ -89,8 +87,6 @@ func runScenarios(argv []string) int {
 	days := fs.Int("days", 0, "campaign days (0 = default)")
 	surgeRiders := fs.Int("surge-riders", 0, "surge population (0 = default)")
 	memBoundMB := fs.Int("mem-bound-mb", 0, "surge heap-growth bound in MiB (0 = default)")
-	baselinePath := fs.String("baseline", "", "perf baseline file to gate against")
-	tolerance := fs.Float64("tolerance", 1, "scale factor on the baseline tolerances")
 	timeoutS := fs.Float64("timeout", 1800, "whole-run budget in seconds")
 	if err := fs.Parse(argv); err != nil {
 		return 1
@@ -151,22 +147,6 @@ func runScenarios(argv []string) int {
 	if failed > 0 {
 		fmt.Printf("%d of %d suites failed\n", failed, len(results))
 		return 2
-	}
-
-	if *baselinePath != "" {
-		base, err := lab.LoadBaseline(*baselinePath)
-		if err != nil {
-			warnf("busprobe-lab: %v\n", err)
-			return 1
-		}
-		if violations := base.Gate(results, *tolerance); len(violations) > 0 {
-			fmt.Println("perf gate FAILED:")
-			for _, v := range violations {
-				fmt.Printf("     - %s\n", v)
-			}
-			return 3
-		}
-		fmt.Printf("perf gate ok (%s)\n", *baselinePath)
 	}
 	return 0
 }

@@ -38,8 +38,8 @@ func benchDB(b *testing.B, n int) (*DB, cellular.Fingerprint) {
 // its slowdown against the indexed row of the same size. The indexed
 // path's advantage should grow roughly linearly with the stop count,
 // since the candidate set stays local while the scan grows with the
-// city. BENCH_match.json at the repo root is a frozen record of one
-// such run.
+// city. Reproduce with go test -run NONE -bench MatchAll
+// ./internal/core/fingerprint/.
 func BenchmarkMatchAll(b *testing.B) {
 	for _, n := range []int{100, 1000, 10000} {
 		db, sample := benchDB(b, n)

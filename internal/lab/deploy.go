@@ -2,12 +2,13 @@
 // busprobe-server binary in any of its process topologies (monolith, N
 // in-process shards, N shard processes behind a coordinator), drives it
 // over HTTP with named scenarios — clean, chaos, sharded, shard-procs,
-// drain-under-load, surge — and emits exactly one standard JSON result
-// per suite: pass/fail with reasons, latency percentiles, throughput,
-// byte-equivalence of /v1/traffic against a reference run, and (for
-// surge) a bounded-memory verdict. A perf-regression gate compares a
-// run's results against committed BENCH_lab.json baselines, so every
-// benchmark trajectory comes from one tool.
+// drain-under-load, restart-recovery, read-storm, surge — and emits
+// exactly one standard JSON result per suite: pass/fail with reasons,
+// latency percentiles, throughput, byte-equivalence of /v1/traffic
+// against a reference run, and (for surge) a bounded-memory verdict.
+// At the default small load each anchored suite also checks its perf
+// envelope (p95/p99 upload latency and throughput within a fixed
+// tolerance of committed anchors).
 //
 // The package is also the shared home of the simulated-deployment
 // bundle (world + serving config + fingerprint DB) that the evaluation

@@ -33,6 +33,7 @@ import (
 var scenarioRestart = Scenario{
 	Name:        "restart-recovery",
 	Description: "kill -9 a store-backed server mid-corpus: reboot recovers snapshot+tail, traffic byte-identical (monolith, shard procs, legacy migration)",
+	envelope:    envelope{p95S: 0.02, p99S: 0.04, tripsPerS: 80},
 	run: func(ctx context.Context, e *env, r *Result) error {
 		r.Topology = "monolith + shard-procs-2 (store-backed)"
 		corpus, err := e.cleanCorpus(ctx)

@@ -8,8 +8,8 @@ import (
 
 // SchemaVersion identifies the standard result format. Every suite run
 // emits exactly one Result carrying this schema string; consumers
-// (the perf gate, CI artifact tooling, BENCH_*.json trajectories)
-// reject anything else, so drift fails loudly instead of silently.
+// (CI artifact tooling, DecodeResult) reject anything else, so drift
+// fails loudly instead of silently.
 const SchemaVersion = "busprobe-lab/1"
 
 // Result is the one standard JSON document a scenario run emits. Field

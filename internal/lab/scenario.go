@@ -33,11 +33,11 @@ type Options struct {
 	// must match the booted server's -survey-runs).
 	SurveyRuns int
 	// Riders / Days override the scenario's default campaign shape
-	// (0 = default: 22 riders, 2 days).
+	// (0 = default: defaultRiders riders, defaultDays days).
 	Riders int
 	Days   int
 	// SurgeRiders is the surge scenario's rider population
-	// (0 = 100000).
+	// (0 = defaultSurgeRiders).
 	SurgeRiders int
 	// MemoryBoundBytes is the surge driver's heap-growth ceiling
 	// (0 = 256 MiB).
@@ -52,6 +52,14 @@ type Options struct {
 	DrainTimeout time.Duration
 }
 
+// The default campaign shape; the suites' perf envelopes are anchored
+// at exactly this load.
+const (
+	defaultRiders      = 22
+	defaultDays        = 2
+	defaultSurgeRiders = 100000
+)
+
 // withDefaults fills the zero values in.
 func (o Options) withDefaults() Options {
 	if o.Seed == 0 {
@@ -64,13 +72,13 @@ func (o Options) withDefaults() Options {
 		o.SurveyRuns = 4
 	}
 	if o.Riders <= 0 {
-		o.Riders = 22
+		o.Riders = defaultRiders
 	}
 	if o.Days <= 0 {
-		o.Days = 2
+		o.Days = defaultDays
 	}
 	if o.SurgeRiders <= 0 {
-		o.SurgeRiders = 100000
+		o.SurgeRiders = defaultSurgeRiders
 	}
 	if o.MemoryBoundBytes == 0 {
 		o.MemoryBoundBytes = 256 << 20
@@ -97,6 +105,8 @@ type Scenario struct {
 	// Description restates what the suite proves.
 	Description string
 	run         func(ctx context.Context, e *env, r *Result) error
+	// envelope is the suite's perf anchor (zero = unanchored).
+	envelope envelope
 }
 
 // Scenarios lists the registered suites in run order.
@@ -352,6 +362,7 @@ func Run(ctx context.Context, opts Options, names []string) ([]*Result, error) {
 		if err := s.run(ctx, e, r); err != nil {
 			r.check("scenario completes", false, err.Error())
 		}
+		checkEnvelope(opts, s, r)
 		r.DurationS = clock.Since(opts.Clock, start).Seconds()
 		e.logf("=== %s: pass=%t (%.1fs)", s.Name, r.Pass, r.DurationS)
 		results = append(results, r)

@@ -27,6 +27,7 @@ import (
 var scenarioClean = Scenario{
 	Name:        "clean",
 	Description: "fault-free singles vs monolith: byte-identical traffic, live metrics and pprof, graceful drain",
+	envelope:    envelope{p95S: 0.002, p99S: 0.004, tripsPerS: 1200},
 	run: func(ctx context.Context, e *env, r *Result) error {
 		r.Topology = "monolith"
 		corpus, err := e.cleanCorpus(ctx)
@@ -75,6 +76,7 @@ var scenarioClean = Scenario{
 var scenarioChaos = Scenario{
 	Name:        "chaos",
 	Description: "dup/reorder/delay faults vs monolith: counter conservation and byte-identical traffic after flush",
+	envelope:    envelope{p95S: 0.002, p99S: 0.004, tripsPerS: 1100},
 	run: func(ctx context.Context, e *env, r *Result) error {
 		r.Topology = "monolith"
 		corpus, err := e.cleanCorpus(ctx)
@@ -139,6 +141,7 @@ var scenarioChaos = Scenario{
 var scenarioSharded = Scenario{
 	Name:        "sharded",
 	Description: "clean singles vs 4 in-process shards: shard boundary invisible in traffic bytes, shards healthy",
+	envelope:    envelope{p95S: 0.003, p99S: 0.005, tripsPerS: 900},
 	run: func(ctx context.Context, e *env, r *Result) error {
 		const shards = 4
 		r.Topology = fmt.Sprintf("shards-%d", shards)
@@ -200,6 +203,7 @@ var scenarioSharded = Scenario{
 var scenarioShardProcs = Scenario{
 	Name:        "shard-procs",
 	Description: "2 shard processes + coordinator: kill one mid-drive; degraded reads stay correct",
+	envelope:    envelope{p95S: 0.008, p99S: 0.012, tripsPerS: 450},
 	run: func(ctx context.Context, e *env, r *Result) error {
 		const shards = 2
 		r.Topology = fmt.Sprintf("shard-procs-%d", shards)
@@ -395,6 +399,7 @@ var scenarioDrain = Scenario{
 var scenarioSurge = Scenario{
 	Name:        "surge",
 	Description: "stream a rider surge through batch ingest in bounded memory",
+	envelope:    envelope{p95S: 0.12, p99S: 0.15, tripsPerS: 900},
 	run: func(ctx context.Context, e *env, r *Result) error {
 		r.Topology = "monolith"
 		srv, err := e.bootServer(ctx, "monolith")
@@ -495,6 +500,7 @@ var scenarioSurge = Scenario{
 var scenarioReadStorm = Scenario{
 	Name:        "read-storm",
 	Description: "concurrent pollers + watchers during chaos ingest: monotone versions, 304 on idle, delta reconstruction byte-identical",
+	envelope:    envelope{p95S: 0.02, p99S: 0.04, tripsPerS: 200},
 	run: func(ctx context.Context, e *env, r *Result) error {
 		r.Topology = "monolith"
 		corpus, err := e.cleanCorpus(ctx)

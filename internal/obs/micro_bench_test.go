@@ -11,8 +11,10 @@ import (
 // These micro-benchmarks price the observability primitives a single
 // trip pays on the ingest path: roughly six Emits, one EnsureTrip, five
 // histogram observations, and a dozen clock reads. Their sum is the
-// per-trip overhead recorded in BENCH_obs.json; the macro ingest A/B is
-// far noisier than that sum on shared hardware.
+// per-trip observability overhead (go test -run NONE -bench .
+// ./internal/obs/); the macro ingest A/B (BenchmarkIngestBatch vs
+// BenchmarkIngestBatchObs) is far noisier than that sum on shared
+// hardware.
 
 var microEpoch = time.Date(2015, 6, 29, 0, 0, 0, 0, time.UTC)
 

@@ -75,9 +75,6 @@ type Config struct {
 	// registers itself as shard "0"; a Coordinator re-registers each
 	// shard under its own label instead.
 	Obs *obs.Core
-	// StageHook, when non-nil, observes every pipeline stage run
-	// (counters + duration). It must be safe for concurrent use.
-	StageHook stage.Hook
 	// OnlineUpdate enables Fig. 4's online database path: confidently
 	// mapped stop visits refresh that stop's fingerprint, letting the
 	// database track radio-environment drift without re-surveying.
@@ -274,7 +271,6 @@ func NewBackend(cfg Config, tdb *transit.DB, fpdb *fingerprint.DB) (*Backend, er
 			Cluster:     cfg.Cluster,
 			MinSpeedKmh: cfg.MinSpeedKmh,
 			MaxSpeedKmh: cfg.MaxSpeedKmh,
-			Hook:        cfg.StageHook,
 		}),
 		seen:           make(map[string]bool),
 		scatterSeen:    make(map[string]stage.EstimateOutput),

@@ -322,11 +322,6 @@ func TestRequestTimeoutHandler(t *testing.T) {
 	w := testWorld(t)
 	cfg := DefaultConfig()
 	cfg.RequestTimeoutS = 0.05
-	cfg.StageHook = func(_ context.Context, stage string, in, out, dropped int, d time.Duration) {
-		if stage == "match" {
-			time.Sleep(300 * time.Millisecond)
-		}
-	}
 	fpdb, err := BuildFingerprintDB(w.Cells, w.Transit, 4, cfg, 7)
 	if err != nil {
 		t.Fatal(err)
@@ -335,6 +330,9 @@ func TestRequestTimeoutHandler(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	b.Pipeline().Match.SetHook(func(context.Context, string, int, int, int, time.Duration) {
+		time.Sleep(300 * time.Millisecond)
+	})
 	srv := httptest.NewServer(Handler(b))
 	defer srv.Close()
 

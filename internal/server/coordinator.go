@@ -70,9 +70,10 @@ type Coordinator struct {
 	// vector that built it: a read whose fetched vector matches serves
 	// the cached snapshot untouched, and only a moved shard version (or
 	// a health transition) triggers a re-merge. mergeMu serializes the
-	// re-merge itself — readers that lose the TryLock race serve the
-	// current cache instead of queueing, so reads never pile up behind
-	// one another.
+	// re-merge itself, and a merging reader re-fetches under it, so
+	// merges store shard states in fetch order (coordinator versions
+	// never re-publish superseded content) and a read waits for an
+	// in-flight merge rather than serving the map from before it.
 	mergeMu sync.Mutex
 	merged  atomic.Pointer[mergedTraffic]
 }
@@ -416,6 +417,40 @@ func (c *Coordinator) Traffic() map[road.SegmentID]traffic.Estimate {
 // traffic.NextSnapshot so deltas account for segments a dead shard
 // dropped out of the view.
 func (c *Coordinator) TrafficSnapshot() *traffic.Snapshot {
+	if cached := c.merged.Load(); cached != nil {
+		if _, vec := c.fetchTraffic(); vecEqual(cached.vec, vec) {
+			return cached.snap
+		}
+	}
+	c.mergeMu.Lock()
+	defer c.mergeMu.Unlock()
+	// Re-fetch under the lock: state fetched before it may already be
+	// superseded by a merge another reader stored meanwhile.
+	parts, vec := c.fetchTraffic()
+	prev := traffic.EmptySnapshot()
+	if cached := c.merged.Load(); cached != nil {
+		if vecEqual(cached.vec, vec) {
+			return cached.snap
+		}
+		prev = cached.snap
+	}
+	m := make(map[road.SegmentID]traffic.Estimate)
+	for _, p := range parts {
+		if p == nil {
+			continue
+		}
+		for sid, est := range p.Estimates {
+			m[sid] = est
+		}
+	}
+	next := traffic.NextSnapshot(prev, m)
+	c.merged.Store(&mergedTraffic{snap: next, vec: vec})
+	return next
+}
+
+// fetchTraffic reads every shard's current snapshot (nil for a shard
+// that failed to answer) and the version vector they form.
+func (c *Coordinator) fetchTraffic() ([]*traffic.Snapshot, []shardVersion) {
 	parts := make([]*traffic.Snapshot, len(c.shards))
 	vec := make([]shardVersion, len(c.shards))
 	for i, sh := range c.shards {
@@ -427,39 +462,7 @@ func (c *Coordinator) TrafficSnapshot() *traffic.Snapshot {
 		parts[i] = snap
 		vec[i] = shardVersion{ok: true, version: snap.Version}
 	}
-	cached := c.merged.Load()
-	if cached != nil && vecEqual(cached.vec, vec) {
-		return cached.snap
-	}
-	if cached != nil {
-		if !c.mergeMu.TryLock() {
-			// Another reader is already re-merging this state change;
-			// serve the current map instead of queueing behind it.
-			return cached.snap
-		}
-	} else {
-		c.mergeMu.Lock()
-	}
-	defer c.mergeMu.Unlock()
-	if cached = c.merged.Load(); cached != nil && vecEqual(cached.vec, vec) {
-		return cached.snap
-	}
-	m := make(map[road.SegmentID]traffic.Estimate)
-	for _, p := range parts {
-		if p == nil {
-			continue
-		}
-		for sid, est := range p.Estimates {
-			m[sid] = est
-		}
-	}
-	prev := traffic.EmptySnapshot()
-	if cached != nil {
-		prev = cached.snap
-	}
-	next := traffic.NextSnapshot(prev, m)
-	c.merged.Store(&mergedTraffic{snap: next, vec: vec})
-	return next
+	return parts, vec
 }
 
 // TrafficSegment reads one segment from its owning shard.

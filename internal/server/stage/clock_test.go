@@ -19,7 +19,7 @@ import (
 // (start, observe), so every run contributes exactly one step.
 func TestFixedClockMakesDurationsDeterministic(t *testing.T) {
 	const step = 5 * time.Millisecond
-	m := NewMatcher(emptyFingerprintDB(t), nil)
+	m := NewMatcher(emptyFingerprintDB(t))
 	m.SetClock(clock.NewFake(time.Unix(1000, 0), step))
 
 	const runs = 4
@@ -36,7 +36,8 @@ func TestFixedClockMakesDurationsDeterministic(t *testing.T) {
 }
 
 // TestPipelineClockConfigReachesEveryStage proves Config.Clock is wired
-// into all five stages, and hooks see the same pinned durations.
+// into all five stages, and hooks installed with SetHook see the same
+// pinned durations.
 func TestPipelineClockConfigReachesEveryStage(t *testing.T) {
 	const step = time.Millisecond
 	tdb := transit.NewBuilder(road.NewNetwork(nil, nil)).Build()
@@ -50,13 +51,15 @@ func TestPipelineClockConfigReachesEveryStage(t *testing.T) {
 		Cluster:     cluster.DefaultParams(),
 		MinSpeedKmh: 1,
 		MaxSpeedKmh: 100,
-		Hook: func(_ context.Context, _ string, _, _, _ int, d time.Duration) {
+		Clock:       clock.NewFake(time.Unix(0, 0), step),
+	})
+	for _, st := range p.Stages() {
+		st.SetHook(func(_ context.Context, _ string, _, _, _ int, d time.Duration) {
 			mu.Lock()
 			hookDs = append(hookDs, d)
 			mu.Unlock()
-		},
-		Clock: clock.NewFake(time.Unix(0, 0), step),
-	})
+		})
+	}
 
 	p.Match.Run(context.Background(), MatchInput{})
 	if _, err := p.Cluster.Run(context.Background(), ClusterInput{}); err != nil {

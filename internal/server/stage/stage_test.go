@@ -28,7 +28,7 @@ func sampleAt(tS float64) probe.Sample {
 }
 
 func TestMatcherEmptyDBDropsEverything(t *testing.T) {
-	m := NewMatcher(emptyFingerprintDB(t), nil)
+	m := NewMatcher(emptyFingerprintDB(t))
 	in := MatchInput{Samples: []probe.Sample{sampleAt(1), sampleAt(2), sampleAt(3)}}
 	out := m.Run(context.Background(), in)
 	if len(out.Elements) != 0 {
@@ -44,7 +44,7 @@ func TestMatcherEmptyDBDropsEverything(t *testing.T) {
 }
 
 func TestInstrumentAccumulatesAcrossRuns(t *testing.T) {
-	m := NewMatcher(emptyFingerprintDB(t), nil)
+	m := NewMatcher(emptyFingerprintDB(t))
 	m.Run(context.Background(), MatchInput{Samples: []probe.Sample{sampleAt(1), sampleAt(2)}})
 	m.Run(context.Background(), MatchInput{Samples: []probe.Sample{sampleAt(3)}})
 	got := m.Metrics()
@@ -71,7 +71,8 @@ func TestHookObservesEveryRun(t *testing.T) {
 		defer mu.Unlock()
 		calls = append(calls, call{stage, itemsIn, itemsOut, dropped})
 	}
-	m := NewMatcher(emptyFingerprintDB(t), hook)
+	m := NewMatcher(emptyFingerprintDB(t))
+	m.SetHook(hook)
 	m.Run(context.Background(), MatchInput{Samples: []probe.Sample{sampleAt(1), sampleAt(2)}})
 	m.Run(context.Background(), MatchInput{})
 	if len(calls) != 2 {
@@ -112,7 +113,7 @@ func TestPipelineMetricsOrder(t *testing.T) {
 
 func TestMetricsConcurrentReads(t *testing.T) {
 	// Metrics snapshots must be safe while runs are in flight.
-	m := NewMatcher(emptyFingerprintDB(t), nil)
+	m := NewMatcher(emptyFingerprintDB(t))
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
 		wg.Add(1)

@@ -36,8 +36,8 @@ type MatchOutput struct {
 }
 
 // NewMatcher builds the matching stage over a fingerprint database.
-func NewMatcher(db *fingerprint.DB, hook Hook) *Matcher {
-	return &Matcher{instrument: instrument{name: "match", hook: hook}, db: db}
+func NewMatcher(db *fingerprint.DB) *Matcher {
+	return &Matcher{instrument: instrument{name: "match"}, db: db}
 }
 
 // Run matches every sample, keeping those that clear γ.
@@ -74,8 +74,8 @@ type ClusterOutput struct {
 }
 
 // NewClusterer builds the clustering stage with the Eq. 1 constants.
-func NewClusterer(params cluster.Params, hook Hook) *Clusterer {
-	return &Clusterer{instrument: instrument{name: "cluster", hook: hook}, params: params}
+func NewClusterer(params cluster.Params) *Clusterer {
+	return &Clusterer{instrument: instrument{name: "cluster"}, params: params}
 }
 
 // Run co-clusters the elements.
@@ -109,8 +109,8 @@ type MapOutput struct {
 }
 
 // NewMapper builds the mapping stage over the transit database.
-func NewMapper(tdb *transit.DB, hook Hook) *Mapper {
-	return &Mapper{instrument: instrument{name: "map", hook: hook}, transit: tdb}
+func NewMapper(tdb *transit.DB) *Mapper {
+	return &Mapper{instrument: instrument{name: "map"}, transit: tdb}
 }
 
 // Run resolves the cluster sequence to stop visits.
@@ -151,9 +151,9 @@ type ExtractOutput struct {
 
 // NewExtractor builds the observation-extraction stage. Speeds outside
 // [minSpeedKmh, maxSpeedKmh] are discarded.
-func NewExtractor(tdb *transit.DB, minSpeedKmh, maxSpeedKmh float64, hook Hook) *Extractor {
+func NewExtractor(tdb *transit.DB, minSpeedKmh, maxSpeedKmh float64) *Extractor {
 	return &Extractor{
-		instrument:  instrument{name: "extract", hook: hook},
+		instrument:  instrument{name: "extract"},
 		transit:     tdb,
 		minSpeedKmh: minSpeedKmh,
 		maxSpeedKmh: maxSpeedKmh,
@@ -304,8 +304,8 @@ type EstimateOutput struct {
 
 // NewEstimatorStage builds the estimation sink over a traffic
 // estimator.
-func NewEstimatorStage(est *traffic.Estimator, hook Hook) *Estimator {
-	return &Estimator{instrument: instrument{name: "estimate", hook: hook}, est: est}
+func NewEstimatorStage(est *traffic.Estimator) *Estimator {
+	return &Estimator{instrument: instrument{name: "estimate"}, est: est}
 }
 
 // Run folds the observations into the estimator as one batch;
@@ -335,8 +335,6 @@ type Config struct {
 	Cluster cluster.Params
 	// MinSpeedKmh / MaxSpeedKmh bound plausible leg observations.
 	MinSpeedKmh, MaxSpeedKmh float64
-	// Hook, when non-nil, observes every stage run.
-	Hook Hook
 	// Clock, when non-nil, replaces the wall clock behind per-stage
 	// duration metrics; tests pass a clock.Fake for determinism.
 	Clock clock.Clock
@@ -346,11 +344,11 @@ type Config struct {
 // database, and traffic estimator.
 func New(fpdb *fingerprint.DB, tdb *transit.DB, est *traffic.Estimator, cfg Config) *Pipeline {
 	p := &Pipeline{
-		Match:    NewMatcher(fpdb, cfg.Hook),
-		Cluster:  NewClusterer(cfg.Cluster, cfg.Hook),
-		Map:      NewMapper(tdb, cfg.Hook),
-		Extract:  NewExtractor(tdb, cfg.MinSpeedKmh, cfg.MaxSpeedKmh, cfg.Hook),
-		Estimate: NewEstimatorStage(est, cfg.Hook),
+		Match:    NewMatcher(fpdb),
+		Cluster:  NewClusterer(cfg.Cluster),
+		Map:      NewMapper(tdb),
+		Extract:  NewExtractor(tdb, cfg.MinSpeedKmh, cfg.MaxSpeedKmh),
+		Estimate: NewEstimatorStage(est),
 	}
 	if cfg.Clock != nil {
 		p.Match.SetClock(cfg.Clock)
